@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..faults.manager import wait_or_fail
+from ..sim import WaitFor
 from ..teams.team import TeamView
 from .base import binomial_peers, dissemination_rounds, notify
 
@@ -173,24 +174,31 @@ def barrier_tdlb(ctx, view: TeamView) -> Iterator:
     h = shared.hierarchy
     me = view.index
     leader = h.leader_of[me]
+    # the fault-free path waits with a plain WaitFor (what wait_or_fail
+    # yields then), one frame shallower
+    faults = getattr(ctx, "faults", None)
 
     if me != leader:
         # Step 1 (slave side): arrive at the leader, then wait for release.
         yield from notify(
             ctx, view, leader, shared.cocounter(leader), path="direct"
         )
-        yield from wait_or_fail(
-            ctx, view, shared.release_flag(me), lambda v, s=seq: v >= s
-        )
+        released = lambda v, s=seq: v >= s  # noqa: E731
+        if faults is None:
+            yield WaitFor(shared.release_flag(me), released)
+        else:
+            yield from wait_or_fail(ctx, view, shared.release_flag(me),
+                                    released)
         return
 
     slaves = h.slaves_of(me)
     if slaves:
         # Step 1 (leader side): wait for the whole intranode set.
-        yield from wait_or_fail(
-            ctx, view, shared.cocounter(me),
-            lambda v, s=seq * len(slaves): v >= s,
-        )
+        arrived = lambda v, s=seq * len(slaves): v >= s  # noqa: E731
+        if faults is None:
+            yield WaitFor(shared.cocounter(me), arrived)
+        else:
+            yield from wait_or_fail(ctx, view, shared.cocounter(me), arrived)
     # Step 2: inter-node dissemination among leaders only.
     yield from dissemination_rounds(
         ctx, view, h.leaders, variant="tdlb-leaders", seq=seq, path="auto"

@@ -21,7 +21,7 @@ import math
 from typing import Iterator, List, Sequence
 
 from ..faults.manager import wait_or_fail
-from ..sim import Timeout
+from ..sim import Timeout, WaitFor
 from ..teams.team import TeamView
 
 __all__ = [
@@ -64,11 +64,15 @@ def combine_flops(value) -> float:
 
 def notify(ctx, view: TeamView, target_index: int, cell, path: str = "auto") -> Iterator:
     """Send one flag-word notification to team member ``target_index``,
-    incrementing ``cell`` on delivery."""
-    src = view.proc
-    dst = view.shared.proc_of(target_index)
-    yield from ctx.conduit.transfer(
-        src, dst, NOTIFY_NBYTES, on_delivered=lambda: cell.add(1), path=path
+    incrementing ``cell`` on delivery.
+
+    Returns the conduit's transfer generator itself (``yield from
+    notify(...)``), so a notification adds no frame of its own to the
+    sender's resume chain.
+    """
+    return ctx.conduit.transfer(
+        view.proc, view.shared.proc_of(target_index), NOTIFY_NBYTES,
+        on_delivered=lambda: cell.add(1), path=path,
     )
 
 
@@ -96,13 +100,18 @@ def dissemination_rounds(
     shared = view.shared
     rank = participants.index(view.index)
     rounds = math.ceil(math.log2(n))
+    faults = getattr(ctx, "faults", None)
+    arrived = lambda v, s=seq: v >= s  # noqa: E731 - one predicate, every round
     for r in range(rounds):
         dist = 1 << r
         send_to = participants[(rank + dist) % n]
         flag = shared.diss_flag(send_to, r, variant)
         yield from notify(ctx, view, send_to, flag, path=path)
         my_flag = shared.diss_flag(view.index, r, variant)
-        yield from wait_or_fail(ctx, view, my_flag, lambda v, s=seq: v >= s)
+        if faults is None:
+            yield WaitFor(my_flag, arrived)
+        else:
+            yield from wait_or_fail(ctx, view, my_flag, arrived)
         if extra_round_cost > 0.0:
             yield Timeout(extra_round_cost)
 

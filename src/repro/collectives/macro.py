@@ -75,13 +75,14 @@ be promised), at most one window per run can be perturbed, and only in
 programs that race asynchronous traffic against a collective.
 
 The replay itself mirrors the fine-grained cost model operation by
-operation — same ``_plan``/``inject_time``/``wire_time``/``compute``
-calls, same max/add structure, same combine order (deposit order at
-each leader, MPICH fold/exchange order among leaders), per-resource
-FIFO orderings — so the floats and values produced are the very floats
-the event path would have produced (floating-point addition is
-deterministic; the replay never re-associates it).  See
-``docs/simulation.md`` for the full argument.
+operation — the same overhead command and fabric plan (the fabrics'
+``plan``) a transfer yields, same ``compute`` calls, same max/add
+structure, same combine order (deposit order at each leader, MPICH
+fold/exchange order among leaders), per-resource FIFO orderings — so
+the floats and values produced are the very floats the event path
+would have produced (floating-point addition is deterministic; the
+replay never re-associates it).  See ``docs/simulation.md`` for the
+full argument.
 """
 
 from __future__ import annotations
@@ -89,8 +90,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from ..calibration import DIRECT_SMP
-from ..sim import SimEvent, Wait
+from ..sim import Hold, SimEvent, Wait
 from .base import NOTIFY_NBYTES, binomial_peers, combine_flops, payload_nbytes
 from .reduce import _combine, _freeze
 
@@ -487,57 +487,37 @@ class MacroCollectives:
                          path: str) -> Tuple[float, float]:
         """Return ``(source_done, delivered)`` for one message whose
         sender is free to issue it at time ``t``."""
-        world = self.world
-        conduit = world.conduit
-        machine = world.machine
+        conduit = self.world.conduit
         resolved = conduit.resolve_path(src_proc, dst_proc, path)
         conduit.counts[resolved] += 1
-        placements = conduit._placements
-        ps = placements[src_proc]
-        profile = conduit.profile
-
+        ps = conduit._placements[src_proc]
+        pd = conduit._placements[dst_proc]
+        # the same prebuilt commands and fabric plans Conduit.transfer
+        # yields, so the same floats
+        cost = conduit._overheads[resolved][ps.node]
+        if cost is not None:
+            if cost.__class__ is Hold:
+                t = st.hold(cost.resource, t, cost.duration)
+            else:
+                t = t + cost.delay
+        machine = self.world.machine
         if resolved == "remote":
-            cost = profile.remote_overhead
-            if cost > 0.0:
-                if profile.serialize_overhead:
-                    t = st.hold(conduit._engines[ps.node], t, cost)
-                else:
-                    t = t + cost
-            ic = machine.interconnect
-            ic.messages += 1
-            ic.bytes += nbytes
-            net = machine.spec.network
-            t = st.hold(ic._nics[ps.node], t, net.inject_time(nbytes))
-            return t, t + net.wire_time(nbytes)
-
-        pd = placements[dst_proc]
-        sm = machine.shared_memory
-        if resolved == "loopback":
-            cost = profile.local_overhead
-            if cost > 0.0:
-                if profile.serialize_overhead:
-                    t = st.hold(conduit._engines[ps.node], t, cost)
-                else:
-                    t = t + cost
-            sm.messages += 1
-            sm.bytes += nbytes
-            occ, lat, home = sm._plan(
-                ps.core, pd.core, nbytes, profile.loopback_bw_factor
+            fabric = machine.interconnect
+            hold, delay = fabric.plan(ps.node, pd.node, nbytes)
+        else:
+            fabric = machine.shared_memory
+            hold, delay = fabric.plan(
+                ps.node, ps.core, pd.core, nbytes,
+                1.0 if resolved == "direct"
+                else conduit.profile.loopback_bw_factor,
             )
-            t = st.hold(sm._buses[ps.node][home], t, occ)
-            delivered = t + lat
-            if profile.loopback_penalty > 0.0:
-                delivered = delivered + profile.loopback_penalty
-            return t, delivered
-
-        # direct shared-memory store
-        if DIRECT_SMP.local_overhead > 0.0:
-            t = t + DIRECT_SMP.local_overhead
-        sm.messages += 1
-        sm.bytes += nbytes
-        occ, lat, home = sm._plan(ps.core, pd.core, nbytes, 1.0)
-        t = st.hold(sm._buses[ps.node][home], t, occ)
-        return t, t + lat
+        fabric.messages += 1
+        fabric.bytes += nbytes
+        t = st.hold(hold.resource, t, hold.duration)
+        delivered = t + delay
+        if resolved == "loopback" and conduit.profile.loopback_penalty > 0.0:
+            delivered = delivered + conduit.profile.loopback_penalty
+        return t, delivered
 
     # -- a compute_cost Timeout's span, jitter-free ---------------------
     def _compute_delay(self, flops: float) -> float:

@@ -32,7 +32,7 @@ from typing import Any, Iterator, Optional, Sequence
 import numpy as np
 
 from ..faults.manager import wait_or_fail
-from ..sim import Timeout
+from ..sim import Timeout, WaitFor
 from ..teams.team import TeamView
 from .base import binomial_peers, combine_flops, payload_nbytes
 
@@ -108,13 +108,17 @@ def _freeze(value: Any) -> Any:
 def _send_value(
     ctx, view: TeamView, target_index: int, tag, value: Any, path: str = "auto"
 ) -> Iterator:
-    """Costed transfer of a payload into a member's mailbox."""
+    """Costed transfer of a payload into a member's mailbox.
+
+    Returns the conduit's transfer generator itself (``yield from
+    _send_value(...)``): the payload is snapshotted here, at issue, and
+    the send adds no frame of its own to the sender's resume chain.
+    """
     shared = view.shared
-    dst = shared.proc_of(target_index)
     payload = _freeze(value)
-    yield from ctx.conduit.transfer(
+    return ctx.conduit.transfer(
         view.proc,
-        dst,
+        shared.proc_of(target_index),
         payload_nbytes(value),
         on_delivered=lambda: shared.deposit(target_index, tag, payload),
         path=path,
@@ -132,7 +136,13 @@ def _wait_values(ctx, view: TeamView, tag, count: int) -> list:
     supposed to fill.
     """
     cell = view.shared.mail_cell(view.index, tag)
-    yield from wait_or_fail(ctx, view, cell, lambda v, c=count: v >= c)
+    arrived = lambda v, c=count: v >= c  # noqa: E731
+    if getattr(ctx, "faults", None) is None:
+        # fault-free: the WaitFor wait_or_fail would yield, one frame
+        # shallower
+        yield WaitFor(cell, arrived)
+    else:
+        yield from wait_or_fail(ctx, view, cell, arrived)
     return view.shared.collect(view.index, tag)
 
 

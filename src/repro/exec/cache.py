@@ -83,11 +83,17 @@ def _source_files(roots: Tuple[str, ...]) -> List[Path]:
 def _stat_signature(files: Sequence[Path]) -> Tuple:
     """Cheap change detector: (path, mtime_ns, size) per source file.
 
-    ~10^2 ``stat`` calls, well under a millisecond — affordable on every
-    fingerprint lookup, unlike re-hashing every file's content.  Any
-    edit, addition, or deletion of a ``*.py`` file changes the
-    signature; an edit that preserves mtime *and* size (``os.utime``
-    games) is invisible by design — that is the price of the cheap scan,
+    ~10^2 ``stat`` calls plus the ``rglob`` that lists them.  That is
+    cheaper than re-hashing every file's content, but not free: measured
+    at ~1.9 ms per :func:`source_fingerprint` call on a shared 2-core
+    x86-64 host, and a warm cache lookup runs it twice (``task_key`` and
+    ``get``), which makes it nearly all of a warm grid pass (findings in
+    ``perfbench/README.md``).  Computing it once per job, or revalidating
+    it on an epoch, is part of the ROADMAP open item "Make every cached
+    result a function of declared inputs only".  Any edit, addition, or
+    deletion of a ``*.py`` file changes the signature; an edit that
+    preserves mtime *and* size (``os.utime`` games) is invisible by
+    design — that is the price of the cheap scan,
     and tests that rewrite source call :func:`invalidate_fingerprint_memo`.
     """
     sig = []

@@ -42,6 +42,7 @@ class SharedMemory:
         ]
         self.messages = 0
         self.bytes = 0
+        self._plans: dict = {}
 
     def bus(self, node: int, socket: int = 0) -> Resource:
         return self._buses[node][socket]
@@ -50,26 +51,45 @@ class SharedMemory:
         self.messages = 0
         self.bytes = 0
 
-    def _plan(self, src_core: int, dst_core: int, nbytes: int,
-              bandwidth_factor: float):
-        """(occupancy seconds, visibility latency, home socket)."""
-        node = self._spec.node
-        same_socket = node.socket_of(src_core) == node.socket_of(dst_core)
-        occupancy = node.bus_hold + nbytes / (node.smp_bandwidth * bandwidth_factor)
-        if not same_socket:
-            occupancy *= node.cross_socket_bus_factor
-            latency = node.smp_latency
-        else:
-            latency = node.intra_socket_latency
-        return occupancy, latency, node.socket_of(dst_core)
+    def plan(self, node: int, src_core: int, dst_core: int, nbytes: int,
+             bandwidth_factor: float = 1.0) -> tuple:
+        """``(Hold on the home socket's controller, visibility latency)``
+        of one store.
 
-    def _validate(self, nbytes: int, bandwidth_factor: float) -> None:
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        if not 0 < bandwidth_factor <= 1.0:
-            raise ValueError(
-                f"bandwidth_factor must be in (0, 1], got {bandwidth_factor}"
+        Both depend only on the endpoints and the payload size, so they
+        are built (and validated) once per route and size and reused.
+        """
+        key = (node, src_core, dst_core, nbytes, bandwidth_factor)
+        plan = self._plans.get(key)
+        if plan is None:
+            if nbytes < 0:
+                raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+            if not 0 < bandwidth_factor <= 1.0:
+                raise ValueError(
+                    f"bandwidth_factor must be in (0, 1], got {bandwidth_factor}"
+                )
+            spec = self._spec.node
+            home = spec.socket_of(dst_core)
+            occupancy = spec.bus_hold + nbytes / (spec.smp_bandwidth * bandwidth_factor)
+            if spec.socket_of(src_core) != home:
+                occupancy *= spec.cross_socket_bus_factor
+                latency = spec.smp_latency
+            else:
+                latency = spec.intra_socket_latency
+            plan = self._plans[key] = (
+                Hold(self._buses[node][home], occupancy), latency
             )
+        return plan
+
+    def post(self, node: int, src_core: int, dst_core: int, nbytes: int,
+             bandwidth_factor: float = 1.0) -> tuple:
+        """Count one store; return its :meth:`plan` plus the delivery
+        label: ``(Hold, latency, label)``."""
+        hold, latency = self.plan(node, src_core, dst_core, nbytes,
+                                  bandwidth_factor)
+        self.messages += 1
+        self.bytes += nbytes
+        return hold, latency, f"smp{node}:{src_core}->{dst_core}"
 
     def transfer(
         self,
@@ -92,17 +112,12 @@ class SharedMemory:
         ``src_core == dst_core`` is legal: a self-put degenerates to a
         memcpy.
         """
-        self._validate(nbytes, bandwidth_factor)
-        self.messages += 1
-        self.bytes += nbytes
-        occupancy, latency, home = self._plan(
-            src_core, dst_core, nbytes, bandwidth_factor
+        hold, latency, label = self.post(
+            node, src_core, dst_core, nbytes, bandwidth_factor
         )
-        yield Hold(self._buses[node][home], occupancy)
+        yield hold
         if on_visible is not None:
-            self._engine.schedule(
-                latency, on_visible, label=f"smp{node}:{src_core}->{dst_core}"
-            )
+            self._engine.schedule(latency, on_visible, label=label)
 
     def transfer_async(
         self,
@@ -115,17 +130,12 @@ class SharedMemory:
     ) -> SimEvent:
         """Callback-style variant; the returned event fires when the bus
         transaction retires (source-side completion)."""
-        self._validate(nbytes, bandwidth_factor)
-        self.messages += 1
-        self.bytes += nbytes
-        occupancy, latency, home = self._plan(
-            src_core, dst_core, nbytes, bandwidth_factor
+        hold, latency, label = self.post(
+            node, src_core, dst_core, nbytes, bandwidth_factor
         )
 
         def _after_bus() -> None:
             if on_visible is not None:
-                self._engine.schedule(
-                    latency, on_visible, label=f"smp{node}:{src_core}->{dst_core}"
-                )
+                self._engine.schedule(latency, on_visible, label=label)
 
-        return self._buses[node][home].occupy(occupancy, then=_after_bus)
+        return hold.resource.occupy(hold.duration, then=_after_bus)

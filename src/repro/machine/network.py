@@ -38,6 +38,7 @@ class Interconnect:
         #: lifetime statistics, reset via :meth:`reset_counters`
         self.messages = 0
         self.bytes = 0
+        self._plans: dict = {}
 
     def nic(self, node: int) -> Resource:
         return self._nics[node]
@@ -45,6 +46,41 @@ class Interconnect:
     def reset_counters(self) -> None:
         self.messages = 0
         self.bytes = 0
+
+    def plan(self, src_node: int, dst_node: int, nbytes: int) -> tuple:
+        """``(Hold on the sender's NIC for the injection time, wire
+        time)`` of one message.
+
+        Both depend only on the sending node and the payload size, so
+        they are built (and validated) once per ``(src_node, nbytes)``
+        and reused.  Sending to the local node is a modeling error: the
+        caller should have used the shared-memory fabric, and catching
+        that here keeps hierarchy-aware code honest.
+        """
+        if src_node == dst_node:
+            raise ValueError(
+                f"Interconnect.send within node {src_node}; "
+                "use SharedMemory for local transfers"
+            )
+        key = (src_node, nbytes)
+        plan = self._plans.get(key)
+        if plan is None:
+            if nbytes < 0:
+                raise ValueError(f"nbytes must be >= 0, got {nbytes}")
+            net = self._spec.network
+            plan = self._plans[key] = (
+                Hold(self._nics[src_node], net.inject_time(nbytes)),
+                net.wire_time(nbytes),
+            )
+        return plan
+
+    def post(self, src_node: int, dst_node: int, nbytes: int) -> tuple:
+        """Count one message; return its :meth:`plan` plus the delivery
+        label: ``(Hold, wire time, label)``."""
+        hold, wire = self.plan(src_node, dst_node, nbytes)
+        self.messages += 1
+        self.bytes += nbytes
+        return hold, wire, f"wire{src_node}->{dst_node}"
 
     def send(
         self,
@@ -58,25 +94,11 @@ class Interconnect:
         The sender blocks through NIC injection (local completion — the
         source buffer is reusable when this generator returns); delivery
         at ``dst_node`` happens ``wire_time`` later via ``on_delivered``.
-        Sending to the local node is a modeling error: the caller should
-        have used the shared-memory fabric, and catching that here keeps
-        hierarchy-aware code honest.
         """
-        if src_node == dst_node:
-            raise ValueError(
-                f"Interconnect.send within node {src_node}; "
-                "use SharedMemory for local transfers"
-            )
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        net = self._spec.network
-        self.messages += 1
-        self.bytes += nbytes
-        yield Hold(self._nics[src_node], net.inject_time(nbytes))
+        hold, wire, label = self.post(src_node, dst_node, nbytes)
+        yield hold
         if on_delivered is not None:
-            self._engine.schedule(
-                net.wire_time(nbytes), on_delivered, label=f"wire{src_node}->{dst_node}"
-            )
+            self._engine.schedule(wire, on_delivered, label=label)
 
     def send_async(
         self,
@@ -90,23 +112,10 @@ class Interconnect:
         Returns an event that triggers at *local* completion (injection
         finished).  Used by the runtime's non-blocking put path.
         """
-        if src_node == dst_node:
-            raise ValueError(
-                f"Interconnect.send within node {src_node}; "
-                "use SharedMemory for local transfers"
-            )
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        net = self._spec.network
-        self.messages += 1
-        self.bytes += nbytes
+        hold, wire, label = self.post(src_node, dst_node, nbytes)
 
         def _after_injection() -> None:
             if on_delivered is not None:
-                self._engine.schedule(
-                    net.wire_time(nbytes),
-                    on_delivered,
-                    label=f"wire{src_node}->{dst_node}",
-                )
+                self._engine.schedule(wire, on_delivered, label=label)
 
-        return self._nics[src_node].occupy(net.inject_time(nbytes), then=_after_injection)
+        return hold.resource.occupy(hold.duration, then=_after_injection)

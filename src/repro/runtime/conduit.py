@@ -52,17 +52,24 @@ class Conduit:
         #: fates (delivery to dead images, drop/delay jitter) when a fault
         #: schedule is installed; None on the default path
         self.faults = faults
+        self._engine = machine.engine
+        self._shm = machine.shared_memory
+        self._net = machine.interconnect
         self._engines = [
             Resource(machine.engine, capacity=1, name=f"conduit{n}")
             for n in range(machine.spec.num_nodes)
         ]
-        # Placement is fixed at launch, but resolving it went through two
-        # attribute hops plus a method call per endpoint per message — and
-        # same-node transfers resolved both endpoints twice.  Snapshot the
-        # image→Placement map once at construction.
+        # Placement is fixed at launch: snapshot the image→Placement map
+        # once instead of resolving it through the topology per message.
         self._placements = [
             machine.topology.placement(i) for i in range(machine.num_images)
         ]
+        #: resolved path → per-node sender-overhead command (None: free)
+        self._overheads = {
+            resolved: [self._overhead(resolved, n)
+                       for n in range(machine.spec.num_nodes)]
+            for resolved in ("remote", "loopback", "direct")
+        }
         #: lifetime message counters by path, for the accounting experiments
         self.counts = {"remote": 0, "loopback": 0, "direct": 0}
         #: back-reference to :class:`repro.collectives.macro.MacroCollectives`
@@ -98,20 +105,28 @@ class Conduit:
         """Tell the concurrency monitor (when installed) about this message
         and wrap the delivery callback so target-side effects are
         attributed to the sender's causal past."""
-        monitor = self.machine.engine.monitor
+        monitor = self._engine.monitor
         if monitor is None:
             return on_delivered
         return monitor.on_transfer(src_image, dst_image, on_delivered)
 
     # ------------------------------------------------------------------
-    def _overhead(self, node: int, cost: float) -> Iterator:
-        """Charge sender software time, serialized per node if the profile says so."""
-        if cost <= 0.0:
-            return
-        if self.profile.serialize_overhead:
-            yield Hold(self._engines[node], cost)
+    def _overhead(self, resolved: str, node: int):
+        """The command charging sender software time for a ``resolved``
+        transfer issued on ``node``, or None when it is free.  The direct
+        path is a store plus a fence on the image's own core; conduit
+        paths serialize through the node's progress engine if the
+        profile says so."""
+        profile = self.profile
+        if resolved == "direct":
+            cost, serialize = DIRECT_SMP.local_overhead, False
         else:
-            yield Timeout(cost)
+            cost = (profile.remote_overhead if resolved == "remote"
+                    else profile.local_overhead)
+            serialize = profile.serialize_overhead
+        if cost <= 0.0:
+            return None
+        return Hold(self._engines[node], cost) if serialize else Timeout(cost)
 
     def resolve_path(self, src_image: int, dst_image: int, path: str = "auto") -> str:
         """Decide which of remote/loopback/direct a transfer takes.
@@ -147,6 +162,32 @@ class Conduit:
             raise ValueError(f"unknown path {path!r}")
         return path
 
+    def _post(self, resolved: str, ps, pd, nbytes: int) -> tuple:
+        """Count the message on its fabric and return its plan ``(Hold,
+        delivery delay, label)`` for placements ``ps`` → ``pd`` (the
+        loopback penalty is not included; see
+        :meth:`_loopback_delivery`)."""
+        if resolved == "remote":
+            return self._net.post(ps.node, pd.node, nbytes)
+        if resolved == "direct":
+            return self._shm.post(ps.node, ps.core, pd.core, nbytes)
+        return self._shm.post(ps.node, ps.core, pd.core, nbytes,
+                              self.profile.loopback_bw_factor)
+
+    def _loopback_delivery(
+        self, on_delivered: Optional[Callable[[], None]]
+    ) -> Optional[Callable[[], None]]:
+        """Loopback delivery waits for the target's poll."""
+        penalty = self.profile.loopback_penalty
+        if penalty <= 0.0 or on_delivered is None:
+            return on_delivered
+        engine = self._engine
+
+        def wrapped() -> None:
+            engine.schedule(penalty, on_delivered, label="loopback-poll")
+
+        return wrapped
+
     def transfer(
         self,
         src_image: int,
@@ -159,6 +200,11 @@ class Conduit:
 
         The sending process blocks through source-side completion;
         ``on_delivered`` fires when the payload is visible at the target.
+
+        Every command it yields is prebuilt (the sender's overhead command
+        per path and node, the fabric's bus or NIC ``Hold`` and delivery
+        delay per route and size), so a message costs this one generator
+        frame.
         """
         resolved = self.resolve_path(src_image, dst_image, path)
         self.counts[resolved] += 1
@@ -170,42 +216,19 @@ class Conduit:
             jitter = faults.link_delay(resolved)
             if jitter > 0.0:
                 yield Timeout(jitter)
-        on_delivered = self._monitored_delivery(src_image, dst_image, on_delivered)
-        placements = self._placements
-        ps = placements[src_image]
-        src_node = ps.node
-
-        if resolved == "remote":
-            yield from self._overhead(src_node, self.profile.remote_overhead)
-            yield from self.machine.interconnect.send(
-                src_node,
-                placements[dst_image].node,
-                nbytes,
-                on_delivered=on_delivered,
-            )
-            return
-
-        pd = placements[dst_image]
+        on_delivered = self._monitored_delivery(src_image, dst_image,
+                                                on_delivered)
         if resolved == "loopback":
-            yield from self._overhead(src_node, self.profile.local_overhead)
-            penalty = self.profile.loopback_penalty
-            wrapped = on_delivered
-            if penalty > 0.0 and on_delivered is not None:
-                engine = self.machine.engine
-
-                def wrapped() -> None:  # delivery waits for the target's poll
-                    engine.schedule(penalty, on_delivered, label="loopback-poll")
-
-            yield from self.machine.shared_memory.transfer(
-                ps.node, ps.core, pd.core, nbytes, on_visible=wrapped,
-                bandwidth_factor=self.profile.loopback_bw_factor,
-            )
-        else:  # direct
-            if DIRECT_SMP.local_overhead > 0.0:
-                yield Timeout(DIRECT_SMP.local_overhead)
-            yield from self.machine.shared_memory.transfer(
-                ps.node, ps.core, pd.core, nbytes, on_visible=on_delivered
-            )
+            on_delivered = self._loopback_delivery(on_delivered)
+        ps = self._placements[src_image]
+        cost = self._overheads[resolved][ps.node]
+        if cost is not None:
+            yield cost
+        hold, delay, label = self._post(resolved, ps,
+                                        self._placements[dst_image], nbytes)
+        yield hold
+        if on_delivered is not None:
+            self._engine.schedule(delay, on_delivered, label=label)
 
     def transfer_nb(
         self,
@@ -233,41 +256,22 @@ class Conduit:
             jitter = faults.link_delay(resolved)
             if jitter > 0.0:
                 yield Timeout(jitter)
-        on_delivered = self._monitored_delivery(src_image, dst_image, on_delivered)
-        placements = self._placements
-        ps = placements[src_image]
-        src_node = ps.node
-
-        if resolved == "remote":
-            yield from self._overhead(src_node, self.profile.remote_overhead)
-            return self.machine.interconnect.send_async(
-                src_node,
-                placements[dst_image].node,
-                nbytes,
-                on_delivered=on_delivered,
-            )
-
-        pd = placements[dst_image]
+        on_delivered = self._monitored_delivery(src_image, dst_image,
+                                                on_delivered)
         if resolved == "loopback":
-            yield from self._overhead(src_node, self.profile.local_overhead)
-            penalty = self.profile.loopback_penalty
-            wrapped = on_delivered
-            if penalty > 0.0 and on_delivered is not None:
-                engine = self.machine.engine
+            on_delivered = self._loopback_delivery(on_delivered)
+        ps = self._placements[src_image]
+        cost = self._overheads[resolved][ps.node]
+        if cost is not None:
+            yield cost
+        hold, delay, label = self._post(resolved, ps,
+                                        self._placements[dst_image], nbytes)
 
-                def wrapped() -> None:
-                    engine.schedule(penalty, on_delivered, label="loopback-poll")
+        def _after_source_done() -> None:
+            if on_delivered is not None:
+                self._engine.schedule(delay, on_delivered, label=label)
 
-            return self.machine.shared_memory.transfer_async(
-                ps.node, ps.core, pd.core, nbytes, on_visible=wrapped,
-                bandwidth_factor=self.profile.loopback_bw_factor,
-            )
-        # direct
-        if DIRECT_SMP.local_overhead > 0.0:
-            yield Timeout(DIRECT_SMP.local_overhead)
-        return self.machine.shared_memory.transfer_async(
-            ps.node, ps.core, pd.core, nbytes, on_visible=on_delivered
-        )
+        return hold.resource.occupy(hold.duration, then=_after_source_done)
 
     def recv_cost(self) -> float:
         """Receiver-side CPU time per message (two-sided conduits)."""

@@ -160,43 +160,25 @@ class CafContext:
         self.proc = proc
         self._stack: List[TeamView] = [TeamView(world.initial_shared, proc, None)]
         self._sync_seen: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # Plumbing shared with the collectives (duck-typed ctx protocol)
-    # ------------------------------------------------------------------
-    @property
-    def engine(self) -> Engine:
-        return self.world.engine
-
-    @property
-    def machine(self) -> Machine:
-        return self.world.machine
-
-    @property
-    def conduit(self) -> Conduit:
-        return self.world.conduit
-
-    @property
-    def config(self) -> RuntimeConfig:
-        return self.world.config
+        # Plumbing shared with the collectives (duck-typed ctx protocol),
+        # bound once: the world's parts never change during a run, and
+        # the collectives read them on every operation.
+        self.engine: Engine = world.engine
+        self.machine: Machine = world.machine
+        self.conduit: Conduit = world.conduit
+        self.config: RuntimeConfig = world.config
+        #: the run's fault manager, or None when no faults are injected;
+        #: the collectives' failure-aware waits read this (duck-typed)
+        self.faults: Optional[FaultManager] = world.faults
+        #: the run's macro-event coordinator (duck-typed: barrier wrappers
+        #: probe ``getattr(ctx, "macro", None)``, so test contexts without
+        #: one simply stay fine-grained)
+        self.macro: MacroCollectives = world.macro
 
     @property
     def now(self) -> float:
         """Current simulated time (the microbenchmarks' stopwatch)."""
-        return self.world.engine.now
-
-    @property
-    def faults(self) -> Optional[FaultManager]:
-        """The run's fault manager, or None when no faults are injected.
-        The collectives' failure-aware waits read this (duck-typed)."""
-        return self.world.faults
-
-    @property
-    def macro(self) -> MacroCollectives:
-        """The run's macro-event coordinator (duck-typed: barrier
-        wrappers probe ``getattr(ctx, "macro", None)``, so test contexts
-        without one simply stay fine-grained)."""
-        return self.world.macro
+        return self.engine.now
 
     def compute_cost(self, flops: float) -> Timeout:
         """A yieldable command charging ``flops`` of local work at this
@@ -208,12 +190,15 @@ class CafContext:
             return Timeout(cmd.delay * factor)
         return cmd
 
-    def _log(self, op: str, detail: str = "") -> None:
-        """Append a trace record if the world is tracing (zero cost)."""
-        if self.world.trace is not None:
-            self.world.trace.append(
-                (self.world.engine.now, self.proc + 1, op, detail)
-            )
+    def _log(self, op: str, detail: str = "", *args: Any) -> None:
+        """Append a trace record if the world is tracing.  With ``args``,
+        ``detail`` is a ``str.format`` template filled only then, so an
+        untraced run formats nothing."""
+        trace = self.world.trace
+        if trace is not None:
+            if args:
+                detail = detail.format(*args)
+            trace.append((self.engine.now, self.proc + 1, op, detail))
 
     # ------------------------------------------------------------------
     # Team queries (pure)
@@ -314,7 +299,7 @@ class CafContext:
         """
         dst = self._proc_of(image, team)
         nbytes = coarray.nbytes_of(index)
-        self._log("put", f"{coarray.name}->img{image} {nbytes}B")
+        self._log("put", "{}->img{} {}B", coarray.name, image, nbytes)
         frozen = np.array(value, copy=True) if isinstance(value, np.ndarray) else value
         yield from self.conduit.transfer(
             self.proc, dst, nbytes,
@@ -330,7 +315,7 @@ class CafContext:
         :meth:`wait_rma` or rely on a subsequent synchronization."""
         dst = self._proc_of(image, team)
         nbytes = coarray.nbytes_of(index)
-        self._log("put_nb", f"{coarray.name}->img{image} {nbytes}B")
+        self._log("put_nb", "{}->img{} {}B", coarray.name, image, nbytes)
         frozen = np.array(value, copy=True) if isinstance(value, np.ndarray) else value
         delivered = SimEvent(self.engine, name="put_nb.delivered")
 
@@ -350,7 +335,7 @@ class CafContext:
         (snapshotted at the moment the response leaves the target)."""
         src = self._proc_of(image, team)
         nbytes = coarray.nbytes_of(index)
-        self._log("get_nb", f"{coarray.name}<-img{image} {nbytes}B")
+        self._log("get_nb", "{}<-img{} {}B", coarray.name, image, nbytes)
         delivered = SimEvent(self.engine, name="get_nb.delivered")
         if src == self.proc:
             delivered.trigger(coarray.read(src, index))
@@ -412,10 +397,17 @@ class CafContext:
         semantics: an :class:`ImageControlError` (failed image, stopped
         image, lock condition) either lands in ``stat`` or propagates
         (error termination) when no ``stat`` was supplied — exactly the
-        standard's dichotomy."""
-        if self.world.faults is None and stat is None:
-            result = yield from gen
-            return result
+        standard's dichotomy.
+
+        Returns the generator to ``yield from``.  With no ``stat`` and no
+        fault manager there is nothing to catch, so that is ``gen``
+        itself: the common case adds no frame.
+        """
+        if stat is None and self.world.faults is None:
+            return gen
+        return self._caught(stat, gen)
+
+    def _caught(self, stat: Optional[Stat], gen):
         try:
             result = yield from gen
         except ImageControlError as err:
@@ -446,7 +438,17 @@ class CafContext:
         rounds and stops while receivers still drain their mailboxes.
         The failed check always precedes the stopped check —
         ``STAT_FAILED_IMAGE`` wins when a team has both.
+
+        Like :meth:`_catch_stat` it returns the generator to ``yield
+        from``: ``gen`` itself when there is neither ``stat`` nor a fault
+        manager (no check can fire, so the strategy runs frame-free).
         """
+        if stat is None and self.world.faults is None:
+            return gen
+        return self._guarded(stat, view, gen, check_stopped)
+
+    def _guarded(self, stat: Optional[Stat], view: TeamView, gen,
+                 check_stopped: bool):
         shared = getattr(view, "shared", view)
         try:
             if self.world.faults is not None:
@@ -464,20 +466,28 @@ class CafContext:
 
     # ------------------------------------------------------------------
     # Synchronization
+    #
+    # The team statements below are plain functions returning the
+    # generator to ``yield from`` (the strategy's own generator on the
+    # stat-free, fault-free path), so ``yield from ctx.sync_all()`` costs
+    # no wrapper frames.
     # ------------------------------------------------------------------
     def sync_all(self, stat: Optional[Stat] = None):
         """``sync all``: barrier over the current team, using the
         configured strategy.  ``stat`` receives ``STAT_FAILED_IMAGE``
         instead of raising when a team member has failed."""
-        self._log("sync_all", f"team{self.current_team.shared.uid}")
-        yield from self.sync_team(self.current_team, stat=stat)
+        team = self._stack[-1]
+        self._log("sync_all", "team{}", team.shared.uid)
+        barrier = resolve("barrier", self.config.barrier)
+        return self._stat_guard(stat, team, barrier(self, team),
+                                check_stopped=True)
 
     def sync_team(self, team: TeamView, stat: Optional[Stat] = None):
         """``sync team(T)``: barrier over team ``T`` (must be the current
         team or an ancestor/descendant this image belongs to)."""
         barrier = resolve("barrier", self.config.barrier)
-        yield from self._stat_guard(stat, team, barrier(self, team),
-                                    check_stopped=True)
+        return self._stat_guard(stat, team, barrier(self, team),
+                                check_stopped=True)
 
     def sync_images(self, images: Union[str, Sequence[int]],
                     stat: Optional[Stat] = None):
@@ -541,29 +551,22 @@ class CafContext:
                 f"have {sorted(REDUCE_OPS) + ['maxloc']}"
             )
         fn = resolve("reduce", self.config.reduce)
-        view = team if team is not None else self.current_team
-        result = yield from self._stat_guard(
+        view = team if team is not None else self._stack[-1]
+        return self._stat_guard(
             stat, view, fn(self, view, value, op, result_image=result_image)
         )
-        return result
 
     def co_sum(self, value: Any, result_image: Optional[int] = None,
                team: Optional[TeamView] = None, stat: Optional[Stat] = None):
-        result = yield from self.co_reduce(value, "sum", result_image, team,
-                                           stat=stat)
-        return result
+        return self.co_reduce(value, "sum", result_image, team, stat=stat)
 
     def co_max(self, value: Any, result_image: Optional[int] = None,
                team: Optional[TeamView] = None, stat: Optional[Stat] = None):
-        result = yield from self.co_reduce(value, "max", result_image, team,
-                                           stat=stat)
-        return result
+        return self.co_reduce(value, "max", result_image, team, stat=stat)
 
     def co_min(self, value: Any, result_image: Optional[int] = None,
                team: Optional[TeamView] = None, stat: Optional[Stat] = None):
-        result = yield from self.co_reduce(value, "min", result_image, team,
-                                           stat=stat)
-        return result
+        return self.co_reduce(value, "min", result_image, team, stat=stat)
 
     def co_broadcast(self, value: Any, source_image: int,
                      team: Optional[TeamView] = None,
@@ -571,11 +574,8 @@ class CafContext:
         """Team broadcast from ``source_image``; returns the payload
         everywhere.  ``team`` and ``stat`` work as in :meth:`co_reduce`."""
         fn = resolve("broadcast", self.config.broadcast)
-        view = team if team is not None else self.current_team
-        result = yield from self._stat_guard(
-            stat, view, fn(self, view, value, source_image)
-        )
-        return result
+        view = team if team is not None else self._stack[-1]
+        return self._stat_guard(stat, view, fn(self, view, value, source_image))
 
     def co_alltoall(self, payloads, team: Optional[TeamView] = None,
                     stat: Optional[Stat] = None):
@@ -584,9 +584,8 @@ class CafContext:
         the dict of received data keyed by sender.  (Extension — the
         methodology's stress test; see collectives.alltoall.)"""
         fn = resolve("alltoall", self.config.alltoall)
-        view = team if team is not None else self.current_team
-        result = yield from self._stat_guard(stat, view, fn(self, view, payloads))
-        return result
+        view = team if team is not None else self._stack[-1]
+        return self._stat_guard(stat, view, fn(self, view, payloads))
 
     def co_allgather(self, value: Any, team: Optional[TeamView] = None,
                      stat: Optional[Stat] = None):
@@ -595,9 +594,8 @@ class CafContext:
         three collectives — the natural fourth member of the family,
         with the same flat/two-level strategy split.)"""
         fn = resolve("allgather", self.config.allgather)
-        view = team if team is not None else self.current_team
-        result = yield from self._stat_guard(stat, view, fn(self, view, value))
-        return result
+        view = team if team is not None else self._stack[-1]
+        return self._stat_guard(stat, view, fn(self, view, value))
 
     # ------------------------------------------------------------------
     # Teams
@@ -755,7 +753,7 @@ class CafContext:
         silently tolerated otherwise — the count lands, nobody reads it)."""
         dst = (var.shared.proc_of(image) if var.shared is not None
                else self._proc_of(image))
-        self._log("event_post", f"{var.name}[{image}]")
+        self._log("event_post", "{}[{}]", var.name, image)
 
         def guarded():
             faults = self.world.faults
@@ -772,7 +770,7 @@ class CafContext:
         """``event wait(ev, until_count=c)`` on my own count; consumes
         the posts.  Failure-aware on team-scoped variables: a teammate's
         fail-stop lands in ``stat``/raises instead of starving the wait."""
-        self._log("event_wait", f"{var.name} until={until_count}")
+        self._log("event_wait", "{} until={}", var.name, until_count)
         yield from self._catch_stat(
             stat, var.wait(self.proc, until_count, faults=self.world.faults)
         )
@@ -807,7 +805,7 @@ class CafContext:
         one, else in ``team``/the current team."""
         home = (var.shared.proc_of(image) if var.shared is not None
                 else self._proc_of(image, team))
-        self._log("lock", f"{var.name}[{image}]")
+        self._log("lock", "{}[{}]", var.name, image)
         if stat is not None:
             stat._clear()
         try:
@@ -850,7 +848,7 @@ class CafContext:
         a stopped home surfaces on the acquire side instead."""
         home = (var.shared.proc_of(image) if var.shared is not None
                 else self._proc_of(image, team))
-        self._log("unlock", f"{var.name}[{image}]")
+        self._log("unlock", "{}[{}]", var.name, image)
 
         def guarded():
             faults = self.world.faults
@@ -928,15 +926,10 @@ class SpmdResult:
         return self.world.trace
 
 
-def _finishing(gen, liveness, proc: int):
-    """Wrap an image's main generator so its *normal* end of execution
-    marks the image stopped (F2018: a normally-terminated image is a
-    "stopped image", distinct from a fail-stopped one).  ``yield from``
-    is transparent, so wrapping changes no schedule; a fail-stop kill
-    (GeneratorExit) or an escaping error skips the mark."""
-    result = yield from gen
-    liveness.mark_stopped(proc)
-    return result
+def _mark_stopped(world: World, proc: int) -> None:
+    faults = world.faults
+    if faults is None or not faults.is_failed(proc):
+        world.liveness.mark_stopped(proc)
 
 
 def run_spmd(
@@ -1021,8 +1014,16 @@ def run_spmd(
     processes = []
     for proc in range(machine.num_images):
         ctx = CafContext(world, proc)
-        gen = _finishing(main(ctx, *args), world.liveness, proc)
-        processes.append(Process(engine, gen, name=f"image{proc + 1}", actor=proc))
+        process = Process(engine, main(ctx, *args), name=f"image{proc + 1}",
+                          actor=proc)
+        # F2018: a normally-terminated image is a "stopped image",
+        # distinct from a fail-stopped one.  ``done`` fires on normal
+        # return and on a fail-stop kill (whose image the fault manager
+        # has already marked failed); an escaping error never fires it.
+        process.done.on_trigger(
+            lambda _, proc=proc: _mark_stopped(world, proc)
+        )
+        processes.append(process)
     if world.faults is not None:
         world.faults.arm(processes)
     final_time = engine.run()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Union
 
 from .engine import Engine
 
@@ -92,18 +92,35 @@ class Cell:
     order-tolerant by contract and are never flagged.  ``meta`` is an
     optional dict the owner attaches (team, index, round, …) so deadlock
     and race reports can say *what* a cell is, not just its name.
+
+    ``name`` may be a string or a zero-argument callable returning one:
+    cells created per operation (collective mailboxes) pass a callable,
+    so the name — read only by deadlock and race reports — is formatted
+    on first read instead of on every creation.
     """
 
-    __slots__ = ("_engine", "_value", "_watchers", "name", "_seq", "meta")
+    __slots__ = ("_engine", "_value", "_watchers", "_name", "_seq", "meta")
 
-    def __init__(self, engine: Engine, value: Any = 0, name: str = "",
+    def __init__(self, engine: Engine, value: Any = 0,
+                 name: Union[str, Callable[[], str]] = "",
                  meta: Optional[dict] = None):
         self._engine = engine
         self._value = value
         self._watchers: dict[int, tuple[Callable[[Any], bool], Callable[[Any], None]]] = {}
         self._seq = itertools.count()
-        self.name = name
+        self._name = name
         self.meta = meta
+
+    @property
+    def name(self) -> str:
+        name = self._name
+        if name.__class__ is not str:
+            name = self._name = name()
+        return name
+
+    @name.setter
+    def name(self, name: Union[str, Callable[[], str]]) -> None:
+        self._name = name
 
     @property
     def value(self) -> Any:
@@ -195,7 +212,8 @@ class Resource:
     makes flat dissemination slow on multicore nodes.
     """
 
-    __slots__ = ("_engine", "capacity", "_in_use", "_queue", "name", "_granted", "_peak")
+    __slots__ = ("_engine", "capacity", "_in_use", "_queue", "name", "_granted",
+                 "_peak", "_hold_label")
 
     def __init__(self, engine: Engine, capacity: int = 1, name: str = ""):
         if capacity < 1:
@@ -209,6 +227,8 @@ class Resource:
         self.name = name
         self._granted = 0
         self._peak = 0
+        #: label of every hold's release event, formatted once
+        self._hold_label = f"{name}.hold"
 
     @property
     def in_use(self) -> int:
@@ -277,7 +297,7 @@ class Resource:
                     then()
                 done.trigger()
 
-            self._engine.schedule(duration, _finish, label=f"{self.name}.hold")
+            self._engine.schedule(duration, _finish, label=self._hold_label)
 
         self.acquire().on_trigger(_granted)
         return done

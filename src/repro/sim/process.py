@@ -136,7 +136,7 @@ class Process:
     """
 
     __slots__ = ("_engine", "_gen", "_send", "name", "actor", "done",
-                 "_blocked_token", "_finished", "_timeout_label")
+                 "_blocked_token", "_finished", "_timeout_label", "_held")
 
     def __init__(self, engine: Engine, gen: ProcGen, name: str = "proc",
                  actor: Optional[Any] = None):
@@ -156,6 +156,8 @@ class Process:
         # engine's fast loop recognize the record by class and inline the
         # resume without any per-event indirection.
         self._timeout_label = f"{name}.timeout"
+        #: resource of the uncontended hold in flight (see ``_do_hold``)
+        self._held: Optional[Resource] = None
         # Start at the current instant so spawn order = first-step order.
         engine.call_now(self, label=f"{name}.start")
 
@@ -314,12 +316,16 @@ class Process:
 
     def _do_wait_for(self, command: WaitFor) -> None:
         cell, pred = command.cell, command.pred
+        if self._engine.monitor is None:
+            # ``wait_until`` tests the predicate itself and returns None
+            # when it already held (the resume has run): only a pending
+            # wait is recorded as blocked
+            if cell.wait_until(pred, self._resume) is not None:
+                self._mark_blocked("waiting on", "cell", "cell", cell)
+            return
         if not pred(cell.value):
             self._mark_blocked("waiting on", "cell", "cell", cell)
-        if self._engine.monitor is None:
-            cell.wait_until(pred, self._resume)
-        else:
-            cell.wait_until(pred, self._observing_resume("cell", cell))
+        cell.wait_until(pred, self._observing_resume("cell", cell))
 
     def _do_acquire(self, command: Acquire) -> None:
         res = command.resource
@@ -330,10 +336,31 @@ class Process:
 
     def _do_hold(self, command: Hold) -> None:
         res, dur = command.resource, command.duration
+        if res._in_use < res.capacity and self._engine.monitor is None:
+            # Uncontended and unobserved: grant inline (the bookkeeping
+            # ``acquire`` does) and schedule one release-and-resume at
+            # the same instant, with the same label, that ``occupy``
+            # would.  No grant/done events and no blocked record: a
+            # pending hold always has its release queued, so it can
+            # never be part of a deadlock.
+            res._in_use += 1
+            res._granted += 1
+            self._held = res
+            self._engine.schedule(dur, self._finish_hold,
+                                  label=res._hold_label)
+            return
         done = res.occupy(dur)
         if not done.triggered:
             self._mark_blocked("holding", "resource", "resource", res)
         done.on_trigger(self._resume)
+
+    def _finish_hold(self) -> None:
+        """End of an inline hold: release (handing the resource to the
+        next queued waiter first, as ``occupy`` does), then resume —
+        unless the process was killed meanwhile (``_step`` guards)."""
+        self._held.release()
+        self._held = None
+        self._step(None)
 
     def _dispatch_other(self, command: Any) -> None:
         """Fallback for command *subclasses* (exact-type dispatch missed)

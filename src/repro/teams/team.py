@@ -103,9 +103,10 @@ class TeamShared:
     def proc_of(self, index: int) -> int:
         """Global proc id of team index ``index`` (1-based) — the paper's
         image-index mapping array lookup."""
-        if not 1 <= index <= self.size:
+        members = self.members
+        if not 1 <= index <= len(members):
             raise ValueError(f"image index {index} out of range [1, {self.size}]")
-        return self.members[index - 1]
+        return members[index - 1]
 
     def index_of(self, proc: int) -> int:
         """Team index of global proc ``proc``; raises if not a member."""
@@ -170,11 +171,13 @@ class TeamShared:
         key = (index, tag)
         cell = self._mail_cells.get(key)
         if cell is None:
-            cell = Cell(
-                self.engine, 0, name=f"t{self.uid}.mail[{index}]{tag}",
+            # a fresh tag per operation: the name (a tuple repr) is only
+            # formatted if a deadlock or race report reads it
+            cell = self._mail_cells[key] = Cell(
+                self.engine, 0,
+                name=lambda: f"t{self.uid}.mail[{index}]{tag}",
                 meta={"kind": "mail", "team": self, "index": index, "tag": tag},
             )
-            self._mail_cells[key] = cell
         return cell
 
     def deposit(self, index: int, tag: Hashable, value: Any) -> None:
