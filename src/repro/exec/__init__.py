@@ -8,9 +8,10 @@ primitive:
 * :class:`TaskSpec` / :class:`TaskResult` — picklable task descriptors
   with results always delivered in submission order
   (:mod:`repro.exec.task`);
-* :class:`WorkerPool` / :func:`run_tasks` — a persistent
-  ``multiprocessing`` worker pool with chunked dispatch, per-task
-  timeout, retry-once on worker crash, and a graceful inline fallback
+* :class:`WorkerPool` / :func:`run_tasks` — a persistent worker pool
+  over one stdlib ``ProcessPoolExecutor``, with a thread-safe
+  ``submit() -> Future`` for concurrent callers, per-task timeout,
+  retry-once on worker crash, and a graceful inline fallback
   (:mod:`repro.exec.pool`);
 * :class:`ResultCache` — an on-disk result cache under
   ``.repro-cache/`` keyed by task content + source-tree fingerprint, so
@@ -29,7 +30,6 @@ Command line::
 
 from .cache import DEFAULT_CACHE_DIR, ResultCache, source_fingerprint
 from .pool import WorkerPool, auto_jobs, resolve_jobs, run_tasks
-from .shared import SharedPoolExecutor
 from .task import (
     TaskResult,
     TaskSpec,
@@ -42,7 +42,6 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "ResultCache",
     "source_fingerprint",
-    "SharedPoolExecutor",
     "WorkerPool",
     "auto_jobs",
     "resolve_jobs",

@@ -3,47 +3,43 @@
 The simulation grids this repo runs (conformance matrix cells, fuzz
 seeds, benchmark sweep cells, calibration probes) are embarrassingly
 parallel: every task is an independent, deterministic, CPU-bound
-function call.  :class:`WorkerPool` fans them across a set of
-long-lived ``multiprocessing`` workers and guarantees:
+function call.  :class:`WorkerPool` fans them across one stdlib
+:class:`~concurrent.futures.ProcessPoolExecutor` and guarantees:
 
-* **Determinism** — results come back indexed by submission order, so
-  the caller-visible output of a parallel run is identical to the
+* **Determinism** — :meth:`WorkerPool.map` returns results indexed by
+  submission order and fires ``on_result`` in that order, so the
+  caller-visible output of a parallel run is identical to the
   sequential run, regardless of completion order.
-* **Warm reuse** — workers are spawned once (``fork`` where available,
-  so the parent's imported modules come for free) and stream **chunks**
-  of tasks off a shared queue, amortizing IPC and scheduling overhead
-  across many sub-10ms simulation runs.  Each chunk is encoded with a
-  *single* ``pickle.dumps`` covering all of its tasks (shared memo
-  table, one frame per queue message) instead of one dumps per task;
-  ``stats()`` reports the encode time and an estimate of what the
-  batching saved.
-* **Robustness** — a per-task timeout kills and replaces a stuck
-  worker; a crashed worker (hard exit, OOM kill) is detected, its
-  in-flight task retried once on a fresh worker, and its undispatched
-  chunk remainder requeued.  Results travel over a lock-guarded pipe
-  written *synchronously* in the worker (no queue feeder thread), so a
-  hard-exiting task cannot truncate a frame and desync the shared
-  stream; if the stream is broken anyway (a worker terminated mid-send)
-  the silent-stall detector rebuilds pipes and workers once and
-  redispatches the orphaned chunks.  A task that times out on every pooled
-  attempt gets one final **untimed inline attempt** in the parent — a
-  hang specific to the worker environment (fork-state corruption, a
-  wedged queue feeder) completes there instead of failing the cell,
-  while a genuinely divergent task still hangs visibly rather than
-  being silently dropped.  A task that raises an ordinary exception is
-  *not* retried (it is deterministic); the error text lands in its
-  :class:`~repro.exec.task.TaskResult`.
+* **Warm reuse** — workers are forked once, when the pool is built
+  (``fork`` where available, so the parent's imported modules come for
+  free), and serve every later task.  :meth:`WorkerPool.submit` is
+  thread-safe and returns a :class:`~concurrent.futures.Future`, so
+  concurrent callers (the job server's tenants) share one warm pool.
+* **Robustness** — at most ``jobs + 1`` tasks are in flight, so every
+  in-flight task is running or next in line.  A worker crash (hard
+  exit, OOM kill) breaks the executor: it is rebuilt and the in-flight
+  tasks re-run *one at a time*, so a second crash is attributable to a
+  single task, which then fails; each task is retried once.  A task
+  that passes its ``task_timeout`` (counted from dispatch) gets the
+  workers killed and the executor rebuilt; its innocent siblings are
+  resubmitted without being charged an attempt.  A task that times out
+  on every pooled attempt gets one final **untimed inline attempt** in
+  the parent — a hang specific to the worker environment completes
+  there instead of failing the cell, while a genuinely divergent task
+  still hangs visibly rather than being silently dropped.  A task that
+  raises an ordinary exception is *not* retried (it is deterministic);
+  the error text lands in its :class:`~repro.exec.task.TaskResult`.
 * **Graceful degradation** — with ``jobs<=1``, with unpicklable tasks,
   or when process spawning is unavailable (restricted sandboxes), work
   runs inline in the parent with identical semantics.
 * **Cold-path economics** — on an *auto* jobs request (``-j auto``,
   ``REPRO_JOBS=auto``, ``jobs<=0``), :func:`run_tasks` refuses to spawn
   a pool that cannot win: one available core (workers would time-slice
-  it — BENCH_HARNESS.json measured pooled 0.87x sequential on the 1-CPU
-  CI runner) or fewer pending cells than the spawn-amortization
-  threshold both run inline instead.  An explicit ``-j N`` is honored
-  as stated — the caller measured their machine; ordering and results
-  are identical either way.
+  it — ``python -m repro.perf --harness -j 2`` on a 1-CPU x86-64 host
+  measured pooled 0.927x sequential) or fewer pending cells than the
+  spawn-amortization threshold both run inline instead.  An explicit
+  ``-j N`` is honored as stated — the caller measured their machine;
+  ordering and results are identical either way.
 
 :func:`run_tasks` is the one-call façade used by the verify/bench/
 calibration harnesses; it layers the content-keyed
@@ -53,16 +49,19 @@ unchanged grid cells are skipped entirely on re-runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import pickle
+import threading
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass, field
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from .cache import ResultCache
-from .task import PICKLE_PROTOCOL, TaskResult, TaskSpec
+from .task import TaskResult, TaskSpec
 
 __all__ = ["WorkerPool", "run_tasks", "resolve_jobs", "auto_jobs",
            "effective_cpu_count", "SPAWN_AMORTIZATION_MIN"]
@@ -73,18 +72,14 @@ JOBS_ENV = "REPRO_JOBS"
 #: upper bound on worker count (grids rarely have >10^2 cells in flight)
 MAX_JOBS = 64
 
-#: parent poll tick while waiting on worker messages (seconds)
-_TICK = 0.05
+#: pooled re-runs a task gets after a worker crash or a timeout
+_RETRIES = 1
 
-#: quiet period after which an idle pool with pending work is assumed to
-#: have lost a chunk (a worker hard-exited before its queue feeder
-#: flushed the pick/start messages) and requeues the orphans
-_STALL_S = 1.0
-
-#: minimum pending cells for :func:`run_tasks` to spawn a pool at all:
-#: worker spawn + pickling costs ~0.5 s, and a sub-10ms simulation cell
-#: pays that back only across a grid — a couple of cells finish inline
-#: before the first worker is even up
+#: minimum pending cells for :func:`run_tasks` to spawn a pool at all on
+#: an auto request: building a 2-worker pool, running one task and
+#: closing it takes ~15 ms (median 14.6 ms over 21 runs on a 2-core
+#: x86-64 Linux host, Python 3.11), which a couple of sub-10 ms cells
+#: never pay back but a grid does
 SPAWN_AMORTIZATION_MIN = 4
 
 
@@ -109,11 +104,30 @@ def auto_jobs() -> int:
     """Worker count for ``-j auto``: one per *available* core, at least 1.
 
     On a single-CPU host this returns 1, which makes ``-j auto`` run
-    inline: BENCH_HARNESS.json measured pooled speedup 0.873 on the
-    1-CPU CI runner — worker spawn + IPC overhead with no parallelism to
-    pay for it — so the pool must only engage when a second core exists.
+    inline: ``python -m repro.perf --harness -j 2`` on a 1-CPU x86-64
+    host measured pooled speedup 0.927 — worker spawn + IPC overhead
+    with no parallelism to pay for it — so the pool must only engage
+    when a second core exists.
     """
     return max(1, min(effective_cpu_count(), MAX_JOBS))
+
+
+def _parse_jobs(jobs) -> Optional[int]:
+    """A jobs request as an explicit worker count, or None for *auto*.
+
+    ``None`` defers to the ``REPRO_JOBS`` environment variable and
+    defaults to 1; ``"auto"``, 0, and negative values mean auto.
+    """
+    if jobs is None:
+        jobs = os.environ.get(JOBS_ENV, "").strip() or 1
+    if isinstance(jobs, str) and jobs.lower() == "auto":
+        return None
+    try:
+        jobs = int(jobs)
+    except ValueError:
+        raise ValueError(
+            f"jobs must be an integer or 'auto', got {jobs!r}") from None
+    return None if jobs <= 0 else min(jobs, MAX_JOBS)
 
 
 def resolve_jobs(jobs) -> int:
@@ -124,253 +138,124 @@ def resolve_jobs(jobs) -> int:
     and defaults to 1 — sequential — when that is unset.  ``"auto"``,
     0, and negative values mean one worker per core.
     """
-    if jobs is None:
-        jobs = os.environ.get(JOBS_ENV, "").strip() or 1
-    if isinstance(jobs, str):
-        if jobs.lower() == "auto":
-            return auto_jobs()
-        try:
-            jobs = int(jobs)
-        except ValueError:
-            raise ValueError(f"jobs must be an integer or 'auto', got {jobs!r}")
-    if jobs <= 0:
-        return auto_jobs()
-    return min(int(jobs), MAX_JOBS)
-
-
-def _is_auto_request(jobs) -> bool:
-    """True when the jobs request delegates the worker count to us
-    (``"auto"``, 0/negative, or unset with ``REPRO_JOBS=auto``) rather
-    than naming an explicit count."""
-    if jobs is None:
-        jobs = os.environ.get(JOBS_ENV, "").strip() or 1
-    if isinstance(jobs, str):
-        if jobs.lower() == "auto":
-            return True
-        try:
-            jobs = int(jobs)
-        except ValueError:
-            return False
-    return jobs <= 0
+    count = _parse_jobs(jobs)
+    return auto_jobs() if count is None else count
 
 
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-def _worker_main(slot: int, gen: int, task_q, result_send,
-                 result_lock) -> None:
-    """Worker loop: stream chunks, report per-task starts and results.
-
-    A chunk arrives as **one** pickle blob covering all of its tasks
-    (one ``loads`` here mirrors the single ``dumps`` on the parent's
-    dispatch path); a blob that fails to decode is reported as
-    ``badchunk`` so the parent can re-frame its tasks instead of the
-    whole pool wedging.  Every result is pre-pickled here so an
-    unpicklable return value becomes an ordinary per-task error instead
-    of poisoning the channel.
-
-    Results travel over a raw ``Pipe`` guarded by a shared lock rather
-    than an ``mp.Queue``: a queue's feeder *thread* writes frames
-    asynchronously, so a task that hard-exits the process (``os._exit``,
-    OOM kill) can truncate a frame mid-write and desync the shared
-    stream for every surviving worker.  A locked in-line ``send``
-    completes before the task function ever runs — a crash between
-    messages leaves the stream clean.
-
-    ``gen`` is this worker incarnation's spawn generation; it rides in
-    every message so the parent can tell a live worker's reports from
-    the final, already-in-the-pipe reports of a dead predecessor on the
-    same slot (crediting a stale ``pick``/``start`` to the idle
-    replacement would park the pool forever — the stall detector only
-    fires when every worker looks idle).
-    """
+def _init_worker() -> None:
     # Harnesses inside a worker (e.g. fuzz_schedules within run_case)
     # must not spawn nested pools off an inherited REPRO_JOBS.
     os.environ[JOBS_ENV] = "1"
 
-    def put(msg) -> None:
-        with result_lock:
-            result_send.send(msg)
 
-    while True:
-        msg = task_q.get()
-        if msg is None:
-            break
-        chunk_id, blob = msg
-        put(("pick", slot, gen, chunk_id))
-        try:
-            items = pickle.loads(blob)
-        except BaseException:  # noqa: BLE001 — reported, not hidden
-            put(("badchunk", slot, gen, chunk_id))
-            continue
-        for index, (fn, args, kwargs) in items:
-            put(("start", slot, gen, index))
-            t0 = time.perf_counter()
-            try:
-                value = fn(*args, **kwargs)
-                payload = pickle.dumps((True, value), protocol=PICKLE_PROTOCOL)
-            except BaseException as exc:  # noqa: BLE001 — reported, not hidden
-                payload = pickle.dumps(
-                    (False, f"{type(exc).__name__}: {exc}"),
-                    protocol=PICKLE_PROTOCOL,
-                )
-            put(("done", slot, gen, index, payload,
-                 time.perf_counter() - t0))
-        put(("free", slot, gen, chunk_id))
+def _timed(fn, args, kwargs):
+    """``(value, error, wall_s)`` of one call; never raises."""
+    start = time.perf_counter()
+    try:
+        value, error = fn(*args, **kwargs), None
+    except BaseException as exc:  # noqa: BLE001 — reported, not hidden
+        value, error = None, f"{type(exc).__name__}: {exc}"
+    return value, error, time.perf_counter() - start
+
+
+def _call(blob: bytes):
+    """Run one pickled task in a worker; the pid keys per-worker stats."""
+    return (os.getpid(),) + _timed(*pickle.loads(blob))
+
+
+def _run_here(task: TaskSpec, attempts: int) -> TaskResult:
+    value, error, wall = _timed(task.fn, task.args, task.kwargs)
+    return TaskResult(index=0, value=value, error=error, inline=True,
+                      attempts=attempts, wall_s=wall)
 
 
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
-@dataclass
-class _WorkerState:
-    proc: object
-    #: spawn generation — messages from an earlier incarnation of this
-    #: slot (already in the pipe when it died) carry an older gen and
-    #: must not be credited to this one
-    gen: int = 0
-    #: chunk the worker announced picking up (None when idle)
-    chunk: Optional[int] = None
-    #: task currently executing, and when it started (monotonic)
-    current: Optional[int] = None
-    started: float = 0.0
-    busy_s: float = 0.0
-    tasks_done: int = 0
-
-
-@dataclass
-class _Chunk:
-    #: indices not yet reported done (requeued if the holder dies); the
-    #: task payloads themselves travel as one batch-encoded blob and are
-    #: re-encoded from the live TaskSpecs on any retry
-    remaining: Set[int]
+@dataclass(eq=False)
+class _Job:
+    task: TaskSpec
+    #: the pickled ``(fn, args, kwargs)``; None runs the task inline
+    blob: Optional[bytes]
+    future: Future = field(default_factory=Future)
+    #: pooled dispatches that count against the task
+    attempts: int = 0
+    #: crashes and timeouts charged to the task
+    strikes: int = 0
+    #: in flight at a crash: re-runs alone, so a second crash is its own
+    solo: bool = False
+    deadline: float = math.inf
 
 
 class WorkerPool:
-    """A persistent pool; ``map`` may be called many times.
+    """A persistent pool; ``submit``/``map`` may be called many times.
 
     Use as a context manager (or call :meth:`close`) so workers are
     reaped.  With ``jobs<=1`` or when worker processes cannot be
-    created, the pool is *inline*: ``map`` runs tasks in the parent and
-    every guarantee except parallelism still holds.
+    created, the pool is *inline*: tasks run in the parent and every
+    guarantee except parallelism still holds.
     """
 
-    def __init__(self, jobs=None, *, chunk_size: Optional[int] = None,
-                 task_timeout: Optional[float] = None, retries: int = 1):
+    def __init__(self, jobs=None, *, task_timeout: Optional[float] = None):
         self.jobs = resolve_jobs(jobs)
-        self.chunk_size = chunk_size
         self.task_timeout = task_timeout
-        self.retries = retries
         self.respawns = 0
-        self.last_wall_s = 0.0
-        # --- dispatch-encode accounting (batch pickling) --------------
-        #: seconds spent batch-encoding chunks for dispatch
-        self.encode_s = 0.0
-        #: pickle.dumps calls on the dispatch path (one per chunk)
-        self.encode_batches = 0
-        #: tasks covered by those batch encodes
-        self.encode_tasks = 0
-        #: measured per-task cost of the old frame-each-task-individually
-        #: encoding (probed once, on the first multi-task chunk)
-        self._encode_probe: Optional[float] = None
-        self._chunk_ids = itertools.count()
-        self._gens = itertools.count()
-        self._workers: List[_WorkerState] = []
-        self._task_q = None
-        self._result_recv = None
-        self._result_send = None
-        self._result_lock = None
-        self._mp = None
-        self._broken = False
-        if self.jobs > 1:
-            self._start_workers()
+        self.submitted = 0
+        #: worker pid -> [slot, busy seconds, tasks done]
+        self._usage: Dict[int, list] = {}
+        self._queue: Deque[_Job] = deque()
+        self._inflight: Dict[Future, _Job] = {}
+        self._landed: List[Future] = []
+        self._cond = threading.Condition()
+        self._closed = False
+        #: runs inline work handed over by submit() and the supervisor
+        self._inline_runner = ThreadPoolExecutor(
+            1, thread_name_prefix="repro-exec-inline")
+        self._executor = self._build() if self.jobs > 1 else None
+        self._thread = None
+        if self._executor is not None:
+            self._thread = threading.Thread(target=self._supervise,
+                                            name="repro-exec-pool",
+                                            daemon=True)
+            self._thread.start()
 
     # -- lifecycle -----------------------------------------------------
-    def _start_workers(self) -> None:
+    def _build(self) -> Optional[ProcessPoolExecutor]:
         try:
             import multiprocessing as mp
             method = "fork" if "fork" in mp.get_all_start_methods() else None
-            self._mp = mp.get_context(method)
-            self._task_q = self._mp.Queue()
-            self._result_recv, self._result_send = self._mp.Pipe(duplex=False)
-            self._result_lock = self._mp.Lock()
-            for slot in range(self.jobs):
-                self._workers.append(self._spawn(slot))
+            executor = ProcessPoolExecutor(
+                self.jobs, mp_context=mp.get_context(method),
+                initializer=_init_worker)
+            # Fork every worker now rather than at the first task, so
+            # nothing the caller installs afterwards (a profiler) leaks
+            # into them.
+            for _ in range(self.jobs):
+                executor.submit(int)
+            return executor
         except Exception:
             # restricted environments (no /dev/shm, no fork): run inline
-            self._broken = True
-            self._workers = []
-
-    def _spawn(self, slot: int) -> _WorkerState:
-        gen = next(self._gens)
-        proc = self._mp.Process(
-            target=_worker_main,
-            args=(slot, gen, self._task_q, self._result_send,
-                  self._result_lock),
-            daemon=True, name=f"repro-exec-{slot}",
-        )
-        proc.start()
-        return _WorkerState(proc=proc, gen=gen)
-
-    def _rebuild(self) -> None:
-        """Replace both queues and every worker with fresh ones.
-
-        A worker hard-exiting *mid-write* can leave a truncated frame in
-        the shared result pipe; every later message on that pipe is then
-        unreadable and the pool looks permanently idle while work is
-        pending.  Fresh pipes and fresh workers recover everything
-        except the bytes that were in flight — the caller requeues the
-        orphaned chunks.  On failure the pool is marked broken and the
-        remaining work falls back inline.
-        """
-        old = self._workers
-        for state in old:
-            if state.proc.is_alive():
-                state.proc.terminate()
-                state.proc.join(timeout=1.0)
-        for q in (self._task_q, self._result_recv, self._result_send):
-            try:
-                q.close()
-            except Exception:
-                pass
-        self._workers = []
-        try:
-            self._task_q = self._mp.Queue()
-            self._result_recv, self._result_send = self._mp.Pipe(duplex=False)
-            self._result_lock = self._mp.Lock()
-            for slot in range(self.jobs):
-                self._workers.append(self._spawn(slot))
-            for fresh, prev in zip(self._workers, old):
-                fresh.busy_s = prev.busy_s
-                fresh.tasks_done = prev.tasks_done
-            self.respawns += self.jobs
-        except Exception:
-            self._broken = True
-            self._workers = []
+            return None
 
     @property
     def inline(self) -> bool:
-        return self.jobs <= 1 or self._broken or not self._workers
+        return self._executor is None
 
     def close(self) -> None:
-        if self._task_q is not None:
-            for _ in self._workers:
-                try:
-                    self._task_q.put(None)
-                except Exception:
-                    break
-            for state in self._workers:
-                state.proc.join(timeout=2.0)
-                if state.proc.is_alive():
-                    state.proc.terminate()
-                    state.proc.join(timeout=1.0)
-            self._task_q.close()
-            self._result_recv.close()
-            self._result_send.close()
-        self._workers = []
-        self._task_q = None
-        self._result_recv = self._result_send = self._result_lock = None
-        self._broken = True
+        """Reap the workers; tasks not yet finished fail with RuntimeError."""
+        with self._cond:
+            if self._closed:
+                return
+            self._closed = True
+            self._cond.notify_all()
+        if self._thread is not None:
+            self._thread.join()
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+        self._inline_runner.shutdown(wait=False)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -378,29 +263,40 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- stats ---------------------------------------------------------
     def stats(self) -> dict:
-        # What the per-task framing of the same dispatches would have
-        # cost, minus what batch encoding actually cost: the saved
-        # cold-path time, estimated from the probed per-task rate.
-        saved = 0.0
-        if self._encode_probe is not None:
-            saved = max(0.0,
-                        self._encode_probe * self.encode_tasks - self.encode_s)
-        return {
-            "jobs": self.jobs,
-            "inline": self.inline,
-            "respawns": self.respawns,
-            "wall_s": self.last_wall_s,
-            "encode_s": round(self.encode_s, 6),
-            "encode_batches": self.encode_batches,
-            "encode_tasks": self.encode_tasks,
-            "encode_saved_est_s": round(saved, 6),
-            "per_worker_busy_s": [round(w.busy_s, 6) for w in self._workers],
-            "per_worker_tasks": [w.tasks_done for w in self._workers],
-        }
+        with self._cond:
+            usage = list(self._usage.values())
+            return {"jobs": self.jobs, "inline": self.inline,
+                    "respawns": self.respawns, "submitted": self.submitted,
+                    "per_worker_busy_s": [round(u[1], 6) for u in usage],
+                    "per_worker_tasks": [u[2] for u in usage]}
 
     # -- execution -----------------------------------------------------
+    def submit(self, task: TaskSpec) -> "Future[TaskResult]":
+        """Queue ``task``; the future resolves with its TaskResult.
+
+        Execution errors are data (``TaskResult.error``), not
+        exceptions: the future only raises if the pool is closed before
+        the task finishes.
+        """
+        blob = None
+        if not self.inline:
+            try:
+                blob = task.payload()
+            except Exception:
+                pass  # not picklable: runs inline
+        job = _Job(task, blob)
+        with self._cond:
+            if self._closed:
+                raise RuntimeError("WorkerPool is closed")
+            self.submitted += 1
+            if blob is not None and self._executor is not None:
+                self._queue.append(job)
+                self._cond.notify()
+                return job.future
+        self._run_inline(job)
+        return job.future
+
     def map(self, tasks: Sequence[TaskSpec],
             on_result: Optional[Callable[[TaskResult], None]] = None,
             ) -> List[TaskResult]:
@@ -410,370 +306,173 @@ class WorkerPool:
         are buffered), so progress output of a parallel run is
         byte-identical to the sequential one.
         """
-        t0 = time.perf_counter()
-        results: List[Optional[TaskResult]] = [None] * len(tasks)
-        reported = 0
+        results: List[TaskResult] = []
 
-        def settle(index: int, result: TaskResult) -> None:
-            nonlocal reported
-            results[index] = result
+        def report(result: TaskResult) -> None:
+            result.index = len(results)
+            results.append(result)
             if on_result is not None:
-                while reported < len(results) and results[reported] is not None:
-                    on_result(results[reported])
-                    reported += 1
-
-        def run_one_inline(index: int, task: TaskSpec) -> None:
-            start = time.perf_counter()
-            try:
-                value = task.run_inline()
-                settle(index, TaskResult(index=index, value=value, inline=True,
-                                         attempts=1,
-                                         wall_s=time.perf_counter() - start))
-            except BaseException as exc:  # noqa: BLE001
-                settle(index, TaskResult(
-                    index=index, error=f"{type(exc).__name__}: {exc}",
-                    inline=True, attempts=1,
-                    wall_s=time.perf_counter() - start))
+                on_result(result)
 
         if self.inline:
-            for index, task in enumerate(tasks):
-                run_one_inline(index, task)
-            self.last_wall_s = time.perf_counter() - t0
-            return results  # type: ignore[return-value]
+            # An inline pool runs in the caller's thread, task by task.
+            with self._cond:
+                self.submitted += len(tasks)
+            for task in tasks:
+                report(_run_here(task, 1))
+            return results
+        futures = []
+        for task in tasks:
+            futures.append(self.submit(task))
+            while (len(results) < len(futures)
+                   and futures[len(results)].done()):
+                report(futures[len(results)].result())
+        for future in futures[len(results):]:
+            report(future.result())
+        return results
 
-        # Everything enters the pooled path; tasks that turn out not to
-        # pickle are detected on their first batch encode and come back
-        # here for an inline run.
-        inline_indices = self._run_pooled(tasks, settle)
-        for index in inline_indices:
-            run_one_inline(index, tasks[index])
-        self.last_wall_s = time.perf_counter() - t0
-        return results  # type: ignore[return-value]
+    def _run_inline(self, job: _Job) -> None:
+        def run() -> None:
+            future = job.future
+            if future.running() or future.set_running_or_notify_cancel():
+                future.set_result(_run_here(job.task, job.attempts + 1))
 
-    # ------------------------------------------------------------------
-    def _run_pooled(self, tasks, settle) -> List[int]:
-        """Dispatch every task through the workers; returns the indices
-        that could not be pickled (the caller runs those inline)."""
-        if not tasks:
-            return []
-        pending: Set[int] = set(range(len(tasks)))
-        unpicklable: List[int] = []
-        #: timeout-exhausted tasks awaiting one last untimed inline attempt
-        fallback: Set[int] = set()
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        dispatches: Dict[int, int] = {index: 0 for index in pending}
-        chunks: Dict[int, _Chunk] = {}
+        self._inline_runner.submit(run)
 
-        def encode_batch(indices: Sequence[int]) -> Optional[bytes]:
-            """One ``pickle.dumps`` for the whole chunk (None on failure).
+    # -- supervisor thread: everything below runs under ``_cond`` ---------
+    def _supervise(self) -> None:
+        with self._cond:
+            while not self._closed:
+                landed, self._landed = self._landed, []
+                for future in landed:
+                    job = self._inflight.pop(future, None)
+                    if job is not None and not self._harvest(future, job):
+                        self._restart([job] + self._abandon())
+                now = time.monotonic()
+                if any(j.deadline <= now for j in self._inflight.values()):
+                    self._restart(self._abandon(), timed_out_at=now)
+                if self._executor is None:
+                    break
+                self._fill()
+                if self._landed:
+                    continue  # a task finished before its callback was added
+                soonest = min((j.deadline for j in self._inflight.values()),
+                              default=math.inf)
+                self._cond.wait(None if soonest == math.inf
+                                else max(0.0, soonest - time.monotonic()))
+            leftover = [*self._queue, *self._inflight.values()]
+            if self._closed and self._inflight:
+                _kill_workers(self._executor)
+            self._queue.clear()
+            self._inflight.clear()
+        for job in leftover:
+            if not self._closed:
+                self._run_inline(job)  # the pool could not be rebuilt
+            elif not job.future.done():
+                job.future.set_exception(
+                    RuntimeError("pool closed before the task finished"))
 
-            The old path framed every task individually — len(chunk)
-            dumps calls plus a list of blobs per queue message; batching
-            shares the pickle memo table and the framing overhead across
-            the chunk.  The first multi-task batch also times the
-            per-task framing once, so ``stats()`` can report the encode
-            time the batching saved.
-            """
-            items = [(i, (tasks[i].fn, tasks[i].args, tasks[i].kwargs))
-                     for i in indices]
-            t0 = time.perf_counter()
-            try:
-                blob = pickle.dumps(items, protocol=PICKLE_PROTOCOL)
-            except Exception:
-                return None
-            self.encode_s += time.perf_counter() - t0
-            self.encode_batches += 1
-            self.encode_tasks += len(items)
-            if self._encode_probe is None and len(items) > 1:
-                t1 = time.perf_counter()
-                for item in items:
-                    pickle.dumps(item, protocol=PICKLE_PROTOCOL)
-                self._encode_probe = (time.perf_counter() - t1) / len(items)
-            return blob
+    def _landed_cb(self, future: Future) -> None:
+        with self._cond:
+            self._landed.append(future)
+            self._cond.notify()
 
-        def enqueue(indices: Sequence[int]) -> None:
-            good = list(indices)
-            blob = encode_batch(good)
-            if blob is None:
-                # Some task in the batch does not pickle: probe each one,
-                # re-batch the good subset, route the bad ones inline.
-                ok: List[int] = []
-                for i in good:
-                    task = tasks[i]
-                    try:
-                        pickle.dumps((task.fn, task.args, task.kwargs),
-                                     protocol=PICKLE_PROTOCOL)
-                        ok.append(i)
-                    except Exception:
-                        pending.discard(i)
-                        unpicklable.append(i)
-                if not ok:
-                    return
-                good = ok
-                blob = encode_batch(good)
-                if blob is None:  # unreproducible pickling failure
-                    for i in good:
-                        pending.discard(i)
-                        unpicklable.append(i)
-                    return
-            chunk_id = next(self._chunk_ids)
-            chunks[chunk_id] = _Chunk(set(good))
-            for i in good:
-                dispatches[i] = dispatches.get(i, 0) + 1
-            self._task_q.put((chunk_id, blob))
-
-        def requeue_chunk(chunk_id: int) -> None:
-            """A worker could not decode ``chunk_id``: re-frame its tasks
-            (each retry re-encodes from the live specs) unless one keeps
-            failing, which fails that task rather than looping."""
-            chunk = chunks.pop(chunk_id, None)
-            if chunk is None:
+    def _fill(self) -> None:
+        while self._queue and self._executor is not None:
+            solo = any(j.solo for j in (self._queue[0],
+                                        *self._inflight.values()))
+            if len(self._inflight) >= (1 if solo else self.jobs + 1):
                 return
-            retry = [i for i in sorted(chunk.remaining)
-                     if i in pending
-                     and dispatches.get(i, 0) <= self.retries + 1]
-            for index in sorted(chunk.remaining.difference(retry)):
-                if index in pending:
-                    finish(index, TaskResult(
-                        index=index, attempts=attempts.get(index, 0),
-                        error="chunk repeatedly failed to decode in the "
-                              "worker"))
-            if retry:
-                enqueue(retry)
-
-        size = self.chunk_size or max(
-            1, min(32, math.ceil(len(tasks) / (self.jobs * 4))))
-        order = sorted(pending)
-        for lo in range(0, len(order), size):
-            enqueue(order[lo:lo + size])
-
-        def finish(index: int, result: TaskResult) -> None:
-            if index in pending or index in fallback:
-                pending.discard(index)
-                fallback.discard(index)
-                settle(index, result)
-
-        def fail_or_retry(index: int, why: str,
-                          inline_fallback: bool = False) -> None:
-            """A crash/timeout consumed one attempt of ``index``."""
-            if index not in pending:
-                return
-            if attempts[index] <= self.retries:
-                enqueue([index])
-            elif inline_fallback:
-                # Every pooled attempt timed out.  Give the task one
-                # untimed attempt in the parent after the pool drains:
-                # if the hang was an artifact of the worker environment
-                # the task completes; if it is real, the hang stays
-                # visible instead of becoming a silently-failed cell.
-                pending.discard(index)
-                fallback.add(index)
-            else:
-                finish(index, TaskResult(index=index, error=why,
-                                         attempts=attempts[index]))
-
-        def reap(slot: int, why: str, inline_fallback: bool = False) -> None:
-            """Kill+replace worker ``slot``; reschedule its work."""
-            state = self._workers[slot]
-            if state.proc.is_alive():
-                state.proc.terminate()
-                state.proc.join(timeout=2.0)
-            current, chunk_id = state.current, state.chunk
-            state.current = state.chunk = None
-            leftovers: List[int] = []
-            if chunk_id is not None and chunk_id in chunks:
-                leftovers = [i for i in chunks.pop(chunk_id).remaining
-                             if i in pending and i != current]
-            if leftovers:
-                enqueue(leftovers)
-            if current is not None:
-                fail_or_retry(current, why, inline_fallback)
+            job = self._queue.popleft()
+            # A future cancelled while queued (a tenant dropped its job)
+            # must not burn a worker slot.
+            if not (job.future.running()
+                    or job.future.set_running_or_notify_cancel()):
+                continue
             try:
-                replacement = self._spawn(slot)
-                replacement.busy_s = state.busy_s
-                replacement.tasks_done = state.tasks_done
-                self._workers[slot] = replacement
-                self.respawns += 1
-            except Exception:
-                self._broken = True
+                future = self._executor.submit(_call, job.blob)
+            except BrokenProcessPool:
+                # A worker died while idle: nothing landed to say so.
+                self._restart([job] + self._abandon())
+                continue
+            job.attempts += 1
+            if self.task_timeout is not None:
+                job.deadline = time.monotonic() + self.task_timeout
+            self._inflight[future] = job
+            future.add_done_callback(self._landed_cb)
 
-        last_activity = time.monotonic()
-        stalled_rounds = 0
-        rebuilt = False
-        while pending:
-            drained = self._drain_messages(chunks, attempts, finish,
-                                           requeue_chunk)
-            now = time.monotonic()
-            if drained:
-                last_activity = now
-                stalled_rounds = 0
-            else:
-                self._check_timeouts(reap)
-                self._check_deaths(reap)
-                # Stall recovery: a worker can hard-exit between taking a
-                # chunk off the queue and flushing its pick/start
-                # messages — the chunk simply vanishes.  When the pool
-                # has been completely idle for a while with work still
-                # pending *and the task queue is empty* (a non-empty
-                # queue means the chunks are merely waiting for a slow
-                # worker, not lost), requeue every unfinished chunk
-                # (duplicate completions are idempotent: first result
-                # wins).
-                if (pending and now - last_activity > _STALL_S
-                        and all(w.current is None and w.chunk is None
-                                for w in self._workers)
-                        and all(w.proc.is_alive() for w in self._workers)
-                        and self._task_q_empty()):
-                    stalled_rounds += 1
-                    orphans: Set[int] = set()
-                    for chunk_id in list(chunks):
-                        orphans.update(i for i in chunks.pop(chunk_id).remaining
-                                       if i in pending)
-                    if stalled_rounds >= 2 and not rebuilt:
-                        # Two silent stalls in a row with live, idle
-                        # workers: the requeued chunks should have
-                        # produced at least a "pick" within a stall
-                        # period, so the shared pipes themselves are
-                        # suspect (a worker hard-exiting mid-write
-                        # desyncs the result stream).  Rebuild queues
-                        # and workers once, and give the orphans a
-                        # clean dispatch slate — their earlier
-                        # dispatches went into a black hole, not a
-                        # crashing task.
-                        rebuilt = True
-                        self._rebuild()
-                        if not self._broken:
-                            for i in orphans:
-                                dispatches[i] = 0
-                    retry = [i for i in sorted(orphans)
-                             if dispatches.get(i, 0) <= self.retries + 1]
-                    for index in sorted(orphans.difference(retry)):
-                        finish(index, TaskResult(
-                            index=index, attempts=attempts.get(index, 0),
-                            error="worker crashed repeatedly before "
-                                  "reporting a result"))
-                    if retry:
-                        enqueue(retry)
-                    last_activity = time.monotonic()
-            if self._broken or not any(
-                    w.proc.is_alive() for w in self._workers):
-                break
-
-        # Timeout-exhausted tasks get their last untimed attempt here;
-        # also, if the pool died mid-run (or could not be repaired),
-        # whatever is left finishes inline.
-        for index in sorted(pending | fallback):
-            task = tasks[index]
-            start = time.perf_counter()
-            try:
-                value = task.run_inline()
-                finish(index, TaskResult(
-                    index=index, value=value, inline=True,
-                    attempts=attempts[index] + 1,
-                    wall_s=time.perf_counter() - start))
-            except BaseException as exc:  # noqa: BLE001
-                finish(index, TaskResult(
-                    index=index, error=f"{type(exc).__name__}: {exc}",
-                    inline=True, attempts=attempts[index] + 1,
-                    wall_s=time.perf_counter() - start))
-        return sorted(unpicklable)
-
-    def _task_q_empty(self) -> bool:
-        """Best-effort emptiness probe of the shared task queue.
-
-        ``multiprocessing.Queue.empty`` is advisory, which is exactly the
-        strength we need: a False answer proves chunks are still waiting
-        for a slow worker (so stall recovery must hold off), and a
-        spuriously-True answer merely reverts to the old, more eager
-        behavior.  Platforms without the underlying semaphore support
-        report empty, again degrading to the historical code path.
-        """
+    def _harvest(self, future: Future, job: _Job) -> bool:
+        """Settle ``job`` from its finished future; False if the pool
+        broke under it."""
         try:
-            return self._task_q.empty()
-        except (NotImplementedError, OSError):
+            pid, value, error, wall = future.result()
+        except BrokenProcessPool:
+            return False
+        except BaseException as exc:  # noqa: BLE001 — e.g. unpicklable value
+            job.future.set_result(TaskResult(
+                index=0, error=f"{type(exc).__name__}: {exc}",
+                attempts=job.attempts))
             return True
+        usage = self._usage.setdefault(pid, [len(self._usage), 0.0, 0])
+        usage[1] += wall
+        usage[2] += 1
+        job.future.set_result(TaskResult(
+            index=0, value=value, error=error, attempts=job.attempts,
+            wall_s=wall, worker=usage[0]))
+        return True
 
-    def _drain_messages(self, chunks, attempts, finish, requeue_chunk) -> bool:
-        """Process every queued worker message; True if any arrived."""
-        drained = False
-        while True:
-            try:
-                if not self._result_recv.poll(_TICK):
-                    return drained
-                msg = self._result_recv.recv()
-            except (OSError, EOFError):
-                return drained
-            except Exception:
-                # Garbage frame — a worker was terminated mid-send and
-                # truncated the stream.  Stop draining; the silent-stall
-                # detector rebuilds the pipes.
-                return drained
-            drained = True
-            kind, slot, gen = msg[0], msg[1], msg[2]
-            # A message whose generation predates the slot's current
-            # incarnation was sent by a worker that has since died and
-            # been replaced.  Its *results* are still valid (first
-            # completion wins), but it must not mutate the replacement's
-            # bookkeeping: a stale pick/start marking an idle replacement
-            # busy would pin the stall detector open forever.
-            fresh = self._workers[slot].gen == gen
-            if kind == "pick":
-                chunk_id = msg[3]
-                if fresh:
-                    self._workers[slot].chunk = chunk_id
-            elif kind == "start":
-                index = msg[3]
-                if fresh:
-                    state = self._workers[slot]
-                    state.current = index
-                    state.started = time.monotonic()
-                    attempts[index] = attempts.get(index, 0) + 1
-            elif kind == "done":
-                index, payload, wall = msg[3], msg[4], msg[5]
-                if fresh:
-                    state = self._workers[slot]
-                    state.current = None
-                    state.busy_s += wall
-                    state.tasks_done += 1
-                    chunk = chunks.get(state.chunk)
-                    if chunk is not None:
-                        chunk.remaining.discard(index)
-                ok, value = pickle.loads(payload)
-                result = TaskResult(
-                    index=index, attempts=attempts.get(index, 1),
-                    wall_s=wall, worker=slot,
-                    **({"value": value} if ok else {"error": value}))
-                finish(index, result)
-            elif kind == "free":
-                chunk_id = msg[3]
-                chunks.pop(chunk_id, None)
-                if fresh and self._workers[slot].chunk == chunk_id:
-                    self._workers[slot].chunk = None
-            elif kind == "badchunk":
-                chunk_id = msg[3]
-                if fresh and self._workers[slot].chunk == chunk_id:
-                    self._workers[slot].chunk = None
-                requeue_chunk(chunk_id)
-            # anything else: ignore (unknown kind from a future format)
-            if not self._result_recv.poll(0):
-                return drained
+    def _abandon(self) -> List[_Job]:
+        """Take back every in-flight job that has not finished cleanly."""
+        jobs = [job for future, job in self._inflight.items()
+                if not (future.done() and self._harvest(future, job))]
+        self._inflight.clear()
+        return jobs
 
-    def _check_timeouts(self, reap) -> None:
-        if self.task_timeout is None:
-            return
-        now = time.monotonic()
-        for slot, state in enumerate(self._workers):
-            if (state.current is not None
-                    and now - state.started > self.task_timeout):
-                reap(slot, f"task timeout after {self.task_timeout:g}s "
-                           f"(worker {slot} killed)",
-                     inline_fallback=True)
+    def _restart(self, jobs: List[_Job],
+                 timed_out_at: Optional[float] = None) -> None:
+        """Replace the executor and requeue ``jobs`` at the front.
 
-    def _check_deaths(self, reap) -> None:
-        for slot, state in enumerate(self._workers):
-            if not state.proc.is_alive():
-                code = state.proc.exitcode
-                reap(slot, f"worker crashed (exit code {code})")
+        After a crash every job is charged a strike and re-runs alone.
+        After a timeout the workers are killed first, and only the jobs
+        past their deadline are charged; their siblings are innocent.
+        """
+        timeout = timed_out_at is not None
+        old, self._executor = self._executor, None
+        if timeout:
+            _kill_workers(old)
+        old.shutdown(wait=False, cancel_futures=True)
+        self._executor = self._build()
+        if self._executor is not None:
+            self.respawns += self.jobs
+        for job in reversed(jobs):
+            if timeout and job.deadline > timed_out_at:
+                job.attempts -= 1  # an innocent sibling: not charged
+            else:
+                job.strikes += 1
+                job.solo = not timeout
+                if job.strikes > _RETRIES:
+                    if timeout:
+                        # Every pooled attempt timed out: one last
+                        # untimed attempt in the parent.  A hang that was
+                        # an artifact of the worker environment
+                        # completes; a real one stays visible instead of
+                        # becoming a silently-failed cell.
+                        self._run_inline(job)
+                    else:
+                        job.future.set_result(TaskResult(
+                            index=0, attempts=job.attempts,
+                            error=f"worker crashed {job.strikes} times "
+                                  f"(the process pool broke under it)"))
+                    continue
+            job.deadline = math.inf
+            self._queue.appendleft(job)
+
+
+def _kill_workers(executor: ProcessPoolExecutor) -> None:
+    if hasattr(executor, "kill_workers"):  # Python 3.14+
+        return executor.kill_workers()
+    for proc in list((executor._processes or {}).values()):
+        proc.kill()
 
 
 # ----------------------------------------------------------------------
@@ -785,8 +484,6 @@ def run_tasks(
     *,
     cache: Optional[ResultCache] = None,
     task_timeout: Optional[float] = None,
-    chunk_size: Optional[int] = None,
-    retries: int = 1,
     progress: Optional[Callable[[TaskResult], None]] = None,
     pool: Optional[WorkerPool] = None,
     stats_out: Optional[dict] = None,
@@ -832,35 +529,23 @@ def run_tasks(
     # Either way the tasks run inline with identical ordering/results.
     own_pool: Optional[WorkerPool] = None
     if misses and pool is None:
-        jobs_n = resolve_jobs(jobs)
-        if jobs_n > 1 and _is_auto_request(jobs):
-            if (effective_cpu_count() == 1
-                    or len(misses) < SPAWN_AMORTIZATION_MIN):
-                jobs_n = 1
-            else:
-                jobs_n = min(jobs_n, len(misses))
-        pool = own_pool = WorkerPool(jobs_n, chunk_size=chunk_size,
-                                     task_timeout=task_timeout,
-                                     retries=retries)
+        requested = _parse_jobs(jobs)
+        if requested is None:
+            requested = (1 if len(misses) < SPAWN_AMORTIZATION_MIN
+                         else min(auto_jobs(), len(misses)))
+        pool = own_pool = WorkerPool(requested, task_timeout=task_timeout)
     try:
         def landed(sub: TaskResult) -> None:
-            index = misses[sub.index]
-            result = TaskResult(
-                index=index, value=sub.value, error=sub.error,
-                cached=False, inline=sub.inline, attempts=sub.attempts,
-                wall_s=sub.wall_s, worker=sub.worker)
-            if cache is not None and result.ok and index in keys:
-                cache.put(keys[index], result.value)
-            flush(index, result)
+            sub.index = index = misses[sub.index]
+            if cache is not None and sub.ok and index in keys:
+                cache.put(keys[index], sub.value)
+            flush(index, sub)
 
         if misses:
             pool.map([tasks[i] for i in misses], on_result=landed)
         if stats_out is not None:
-            stats_out.update(pool.stats() if pool is not None
-                             else {"jobs": resolve_jobs(jobs), "inline": True,
-                                   "respawns": 0, "wall_s": 0.0,
-                                   "per_worker_busy_s": [],
-                                   "per_worker_tasks": []})
+            stats_out.update(pool.stats() if pool is not None else {
+                **WorkerPool(1).stats(), "jobs": resolve_jobs(jobs)})
             stats_out["wall_s"] = round(time.perf_counter() - t0, 6)
             stats_out["tasks"] = len(tasks)
             stats_out["executed"] = len(misses)

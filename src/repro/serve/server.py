@@ -17,10 +17,10 @@ One process serves every tenant:
 Each cell takes the cheapest path that can serve it: the **in-flight
 index** (another tenant is computing it right now — await their future),
 the **result cache** (same task + same source fingerprint executed any
-time in the past), and only then the shared
-:class:`~repro.exec.shared.SharedPoolExecutor`, where cells from every
-concurrent job interleave across one warm worker pool.  After every
-``evict_interval`` cache writes the server sweeps the store —
+time in the past), and only then :meth:`WorkerPool.submit
+<repro.exec.pool.WorkerPool.submit>` on the server's one warm pool,
+where cells from every concurrent job interleave across the workers.
+After every ``evict_interval`` cache writes the server sweeps the store —
 superseded source generations first, then oldest entries — so a
 long-lived server under ``--max-cache-mb`` never grows without bound
 even as the source tree churns underneath it.
@@ -38,7 +38,7 @@ import time
 from typing import Optional, Sequence
 
 from ..exec.cache import DEFAULT_CACHE_DIR, ResultCache
-from ..exec.shared import SharedPoolExecutor
+from ..exec.pool import WorkerPool
 from .jobs import InFlightIndex, Job, JobRegistry
 from .spec import Cell, SpecError, expand
 
@@ -61,8 +61,7 @@ class JobServer:
         evict_interval: int = 64,
         task_timeout: Optional[float] = None,
     ):
-        self.executor = SharedPoolExecutor(jobs=jobs,
-                                           task_timeout=task_timeout)
+        self.pool = WorkerPool(jobs, task_timeout=task_timeout)
         self.cache = ResultCache(root=cache_root, namespace=namespace,
                                  source_roots=source_roots)
         self.registry = JobRegistry()
@@ -80,7 +79,7 @@ class JobServer:
         return await asyncio.start_server(self._handle, host, port)
 
     def close(self) -> None:
-        self.executor.close()
+        self.pool.close()
 
     # -- HTTP plumbing -------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
@@ -258,8 +257,8 @@ class JobServer:
         wall_s) and never raises for per-cell failures."""
         try:
             result = await asyncio.wrap_future(
-                self.executor.submit(cell.task))
-        except Exception as exc:  # noqa: BLE001 — executor-level failure
+                self.pool.submit(cell.task))
+        except Exception as exc:  # noqa: BLE001 — pool-level failure
             return False, None, f"{type(exc).__name__}: {exc}", 0.0
         return result.ok, result.value, result.error, result.wall_s
 
@@ -274,7 +273,7 @@ class JobServer:
     def stats(self) -> dict:
         return {
             "uptime_s": round(time.time() - self.started, 3),
-            "pool": self.executor.stats(),
+            "pool": self.pool.stats(),
             "cache": {
                 **self.cache.stats(),
                 "entries": self.cache.entry_count(),

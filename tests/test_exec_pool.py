@@ -10,6 +10,7 @@ below holds either way.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -75,8 +76,9 @@ class TestResolveJobs:
         assert resolve_jobs("auto") == min(effective_cpu_count(), MAX_JOBS)
 
     def test_auto_falls_back_to_inline_on_single_cpu(self, monkeypatch):
-        # BENCH_HARNESS.json: pooled speedup 0.873 on the 1-CPU runner —
-        # with one core available, -j auto must mean "run inline".
+        # `python -m repro.perf --harness -j 2` on a 1-CPU host measured
+        # pooled speedup 0.927 — with one core available, -j auto must
+        # mean "run inline".
         import repro.exec.pool as pool_mod
         monkeypatch.setattr(pool_mod.os, "sched_getaffinity",
                             lambda pid: {0}, raising=False)
@@ -137,7 +139,7 @@ class TestOrderingAndFallback:
     def test_on_result_fires_in_submission_order(self):
         seen = []
         tasks = [TaskSpec(square, (i,)) for i in range(16)]
-        with WorkerPool(jobs=2, chunk_size=1) as pool:
+        with WorkerPool(jobs=2) as pool:
             pool.map(tasks, on_result=lambda r: seen.append(r.index))
         assert seen == list(range(16))
 
@@ -170,7 +172,7 @@ class TestOrderingAndFallback:
 
     def test_explicit_chunk_size(self):
         tasks = [TaskSpec(square, (i,)) for i in range(9)]
-        with WorkerPool(jobs=2, chunk_size=2) as pool:
+        with WorkerPool(jobs=2) as pool:
             results = pool.map(tasks)
         assert [r.value for r in results] == [i * i for i in range(9)]
 
@@ -205,7 +207,7 @@ class TestRobustness:
 
     def test_task_timeout_kills_only_the_stuck_task(self):
         tasks = [TaskSpec(hang_in_worker, (30.0,)), TaskSpec(square, (4,))]
-        with WorkerPool(jobs=2, task_timeout=0.5, retries=0) as pool:
+        with WorkerPool(jobs=2, task_timeout=0.5) as pool:
             if not _pool_is_real(pool):
                 pytest.skip("no worker processes in this environment")
             t0 = time.perf_counter()
@@ -224,7 +226,7 @@ class TestRobustness:
         retry times out too, then the task gets one untimed inline
         attempt in the parent and succeeds."""
         tasks = [TaskSpec(hang_in_worker, (30.0,)), TaskSpec(square, (9,))]
-        with WorkerPool(jobs=2, task_timeout=0.4, retries=1) as pool:
+        with WorkerPool(jobs=2, task_timeout=0.4) as pool:
             if not _pool_is_real(pool):
                 pytest.skip("no worker processes in this environment")
             results = pool.map(tasks)
@@ -270,45 +272,25 @@ class TestRunTasksFacade:
 
 
 class TestBatchEncoding:
-    """Dispatch chunks travel as one pickle blob per chunk."""
-
-    def test_encode_stats_counted(self):
-        with WorkerPool(jobs=2, chunk_size=8) as pool:
-            if not _pool_is_real(pool):
-                pytest.skip("no worker processes in this environment")
-            results = pool.map([TaskSpec(square, (i,)) for i in range(16)])
-            assert [r.value for r in results] == [i * i for i in range(16)]
-            stats = pool.stats()
-        assert stats["encode_tasks"] == 16
-        # 16 tasks in chunks of 8 → exactly 2 dumps calls, not 16
-        assert stats["encode_batches"] == 2
-        assert stats["encode_s"] >= 0.0
-        assert stats["encode_saved_est_s"] >= 0.0
+    """Tasks are pickled once, in the parent, before they are queued."""
 
     def test_unpicklable_detected_in_batch_and_run_inline(self):
         tasks = [TaskSpec(square, (i,)) for i in range(6)]
         tasks[2] = TaskSpec(lambda: "closure")  # not picklable
-        with WorkerPool(jobs=2, chunk_size=3) as pool:
+        with WorkerPool(jobs=2) as pool:
             real = _pool_is_real(pool)
             results = pool.map(tasks)
         expected = [0, 1, "closure", 9, 16, 25]
         assert [r.value for r in results] == expected
         if real:
             assert results[2].inline
-            # picklable siblings of the poisoned chunk still went pooled
+            # its picklable siblings still went to the workers
             assert not results[0].inline and not results[5].inline
 
-    def test_inline_pool_has_no_encode_cost(self):
-        with WorkerPool(jobs=1) as pool:
-            pool.map([TaskSpec(square, (i,)) for i in range(4)])
-            stats = pool.stats()
-        assert stats["encode_batches"] == 0
-        assert stats["encode_tasks"] == 0
-
     def test_retry_reencodes_from_specs(self, tmp_path):
-        """A crash retry re-frames the task (no stale blob cache)."""
+        """A crash retry re-runs the task from its spec."""
         sentinel = tmp_path / "crashed-once"
-        with WorkerPool(jobs=2, chunk_size=2) as pool:
+        with WorkerPool(jobs=2) as pool:
             if not _pool_is_real(pool):
                 pytest.skip("no worker processes in this environment")
             results = pool.map([TaskSpec(crash_once, (str(sentinel),))]
@@ -317,18 +299,83 @@ class TestBatchEncoding:
         assert [r.value for r in results[1:]] == [i * i for i in range(5)]
         assert results[0].attempts >= 1
 
-    def test_pool_survives_queue_rebuild(self):
-        """Poisoned-pipe recovery: after a full queue + worker rebuild
-        (what stall recovery does when requeued chunks keep vanishing
-        silently), the pool keeps dispatching and results stay exact."""
+
+class TestRebuilds:
+    """Crashes and timeouts rebuild the executor; the pool keeps going."""
+
+    def test_pool_serves_after_crash_and_timeout_rebuilds(self, tmp_path):
+        squares = [TaskSpec(square, (i,)) for i in range(8)]
+        with WorkerPool(jobs=2, task_timeout=0.5) as pool:
+            if not _pool_is_real(pool):
+                pytest.skip("no worker processes in this environment")
+            crashed = pool.map([TaskSpec(crash_once,
+                                         (str(tmp_path / "once"),))]
+                               + squares)
+            after_crash = pool.map(squares)
+            respawns = pool.respawns
+            timed_out = pool.map([TaskSpec(hang_in_worker, (30.0,))]
+                                 + squares)
+            after_timeout = pool.map(squares)
+        expected = [i * i for i in range(8)]
+        assert crashed[0].value == "recovered"
+        assert respawns >= 1
+        assert timed_out[0].value == "inline-ok"
+        assert pool.respawns > respawns
+        for results in (crashed[1:], after_crash, timed_out[1:],
+                        after_timeout):
+            assert [r.value for r in results] == expected
+        assert not any(r.inline for r in after_crash + after_timeout)
+
+    def test_crash_isolated_to_the_poison_task(self):
+        """Siblings in flight when the poison task kills its worker are
+        re-run on workers, not charged with its crash."""
+        tasks = ([TaskSpec(square, (i,)) for i in range(3)]
+                 + [TaskSpec(crash_always, (0,)), TaskSpec(napper, (0.3,))]
+                 + [TaskSpec(square, (i,)) for i in range(3, 7)])
         with WorkerPool(jobs=2) as pool:
             if not _pool_is_real(pool):
                 pytest.skip("no worker processes in this environment")
-            before = pool.map([TaskSpec(square, (i,)) for i in range(4)])
-            pool._rebuild()
-            assert not pool._broken
-            after = pool.map([TaskSpec(square, (i,)) for i in range(8)])
-            stats = pool.stats()
-        assert [r.value for r in before] == [i * i for i in range(4)]
-        assert [r.value for r in after] == [i * i for i in range(8)]
-        assert stats["respawns"] >= 2
+            results = pool.map(tasks)
+        poison = results[3]
+        assert not poison.ok
+        assert "crash" in poison.error
+        siblings = results[:3] + results[4:]
+        assert [r.value for r in siblings] == (
+            [0, 1, 4, "slept", 9, 16, 25, 36])
+        assert all(r.ok and not r.inline and r.worker is not None
+                   for r in siblings)
+
+
+class TestSubmit:
+    def test_concurrent_submit_with_task_timeout(self):
+        """Two threads share one pool with a deadline, as the job
+        server's tenants do: the hung task ends on its inline attempt,
+        every other task stays pooled."""
+        barrier = threading.Barrier(2)
+        futures = {}
+
+        def tenant(name, tasks):
+            barrier.wait()
+            futures[name] = [pool.submit(task) for task in tasks]
+
+        with WorkerPool(jobs=2, task_timeout=0.4) as pool:
+            if not _pool_is_real(pool):
+                pytest.skip("no worker processes in this environment")
+            threads = [
+                threading.Thread(target=tenant, args=(
+                    "a", [TaskSpec(hang_in_worker, (30.0,))]
+                    + [TaskSpec(square, (i,)) for i in range(4)])),
+                threading.Thread(target=tenant, args=(
+                    "b", [TaskSpec(square, (i,)) for i in range(4, 10)])),
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            a = [f.result(timeout=30) for f in futures["a"]]
+            b = [f.result(timeout=30) for f in futures["b"]]
+        assert a[0].value == "inline-ok"
+        assert a[0].inline
+        assert [r.value for r in a[1:]] == [0, 1, 4, 9]
+        assert [r.value for r in b] == [i * i for i in range(4, 10)]
+        assert not any(r.inline for r in a[1:] + b)

@@ -181,13 +181,12 @@ class TestJobPlumbing:
 
 
 # ----------------------------------------------------------------------
-@pytest.fixture
-def live_server(tmp_path):
+def _serve(tmp_path, jobs):
     """A real JobServer on an OS-assigned port, in a daemon thread."""
     announced: queue.Queue = queue.Queue()
     thread = threading.Thread(
         target=lambda: asyncio.run(serve_forever(
-            host="127.0.0.1", port=0, jobs=1,
+            host="127.0.0.1", port=0, jobs=jobs,
             cache_root=tmp_path / "cache", namespace="test-serve",
             announce=announced.put)),
         daemon=True)
@@ -200,6 +199,16 @@ def live_server(tmp_path):
     except (ServerError, OSError):
         pass
     thread.join(timeout=15)
+
+
+@pytest.fixture
+def live_server(tmp_path):
+    yield from _serve(tmp_path, jobs=1)
+
+
+@pytest.fixture
+def pooled_server(tmp_path):
+    yield from _serve(tmp_path, jobs=2)
 
 
 class TestEndToEnd:
@@ -258,3 +267,21 @@ class TestEndToEnd:
         assert stats["pool"]["submitted"] == before  # nothing re-executed
         assert stats["jobs"]["tenants"]["cold"]["cache_hits"] == len(
             plan_tasks(plan_experiment("barrier", [2])))
+
+    def test_stats_pool_schema(self, pooled_server):
+        """The ``/stats`` pool keys that perfbench, the perf harness and
+        CI read, and worker task counts that add up to the cells run."""
+        run_bench_remote(pooled_server, dict(self.SPEC), tenant="schema")
+        stats = get_stats(pooled_server)
+        pool = stats["pool"]
+        for key in ("submitted", "respawns", "per_worker_busy_s",
+                    "per_worker_tasks"):
+            assert key in pool
+        executed = sum(t["executed"]
+                       for t in stats["jobs"]["tenants"].values())
+        assert executed == len(plan_tasks(plan_experiment("barrier", [2])))
+        assert pool["submitted"] == executed
+        if not pool["inline"]:
+            assert sum(pool["per_worker_tasks"]) == executed
+            assert len(pool["per_worker_busy_s"]) == len(
+                pool["per_worker_tasks"])
