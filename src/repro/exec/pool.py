@@ -16,11 +16,13 @@ function call.  :class:`WorkerPool` fans them across one stdlib
   thread-safe and returns a :class:`~concurrent.futures.Future`, so
   concurrent callers (the job server's tenants) share one warm pool.
 * **Robustness** — at most ``jobs + 1`` tasks are in flight, so every
-  in-flight task is running or next in line.  A worker crash (hard
-  exit, OOM kill) breaks the executor: it is rebuilt and the in-flight
-  tasks re-run *one at a time*, so a second crash is attributable to a
-  single task, which then fails; each task is retried once.  A task
-  that passes its ``task_timeout`` (counted from dispatch) gets the
+  in-flight task is running or next in line; with a ``task_timeout``
+  at most ``jobs``, so each is dispatched onto an idle worker and its
+  deadline, counted from dispatch, measures run time.  A worker crash
+  (hard exit, OOM kill) breaks the executor: it is rebuilt and the
+  in-flight tasks re-run *one at a time*, so a second crash is
+  attributable to a single task, which then fails; each task is
+  retried once.  A task that passes its ``task_timeout`` gets the
   workers killed and the executor rebuilt; its innocent siblings are
   resubmitted without being charged an attempt.  A task that times out
   on every pooled attempt gets one final **untimed inline attempt** in
@@ -52,6 +54,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import queue
 import threading
 import time
 from collections import deque
@@ -77,9 +80,9 @@ _RETRIES = 1
 
 #: minimum pending cells for :func:`run_tasks` to spawn a pool at all on
 #: an auto request: building a 2-worker pool, running one task and
-#: closing it takes ~15 ms (median 14.6 ms over 21 runs on a 2-core
-#: x86-64 Linux host, Python 3.11), which a couple of sub-10 ms cells
-#: never pay back but a grid does
+#: closing it takes ~10 ms (9.4 ms, the median of five 21-run medians
+#: on a shared 2-core x86-64 Linux host, Python 3.11), which a couple
+#: of sub-10 ms cells never pay back but a grid does
 SPAWN_AMORTIZATION_MIN = 4
 
 
@@ -175,6 +178,15 @@ def _run_here(task: TaskSpec, attempts: int) -> TaskResult:
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
+def _pool_stats(jobs: int, inline: bool = True, respawns: int = 0,
+                submitted: int = 0, usage: Sequence[list] = ()) -> dict:
+    """The ``stats()`` schema; ``usage`` rows are [slot, busy s, tasks]."""
+    return {"jobs": jobs, "inline": inline, "respawns": respawns,
+            "submitted": submitted,
+            "per_worker_busy_s": [round(u[1], 6) for u in usage],
+            "per_worker_tasks": [u[2] for u in usage]}
+
+
 @dataclass(eq=False)
 class _Job:
     task: TaskSpec
@@ -206,11 +218,18 @@ class WorkerPool:
         self.submitted = 0
         #: worker pid -> [slot, busy seconds, tasks done]
         self._usage: Dict[int, list] = {}
-        self._queue: Deque[_Job] = deque()
-        self._inflight: Dict[Future, _Job] = {}
-        self._landed: List[Future] = []
-        self._cond = threading.Condition()
+        #: guards the counters, ``_closed`` and appends to ``_queue``;
+        #: never held while calling into the executor
+        self._lock = threading.Lock()
         self._closed = False
+        #: jobs waiting for a worker; only the supervisor takes from it
+        self._queue: Deque[_Job] = deque()
+        #: wakes the supervisor: finished executor futures, or None.
+        #: Done-callbacks only ``put`` here, so the executor's threads
+        #: never wait on a lock the supervisor holds.
+        self._inbox: "queue.SimpleQueue" = queue.SimpleQueue()
+        #: dispatched executor futures; supervisor-owned
+        self._inflight: Dict[Future, _Job] = {}
         #: runs inline work handed over by submit() and the supervisor
         self._inline_runner = ThreadPoolExecutor(
             1, thread_name_prefix="repro-exec-inline")
@@ -232,7 +251,9 @@ class WorkerPool:
                 initializer=_init_worker)
             # Fork every worker now rather than at the first task, so
             # nothing the caller installs afterwards (a profiler) leaks
-            # into them.
+            # into them.  Under ``fork`` the executor's first submit
+            # forks all of them (Python 3.10.8+); under ``spawn`` workers
+            # start on demand and this is best-effort.
             for _ in range(self.jobs):
                 executor.submit(int)
             return executor
@@ -246,11 +267,11 @@ class WorkerPool:
 
     def close(self) -> None:
         """Reap the workers; tasks not yet finished fail with RuntimeError."""
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
-            self._cond.notify_all()
+        self._inbox.put(None)
         if self._thread is not None:
             self._thread.join()
         if self._executor is not None:
@@ -264,12 +285,9 @@ class WorkerPool:
         self.close()
 
     def stats(self) -> dict:
-        with self._cond:
-            usage = list(self._usage.values())
-            return {"jobs": self.jobs, "inline": self.inline,
-                    "respawns": self.respawns, "submitted": self.submitted,
-                    "per_worker_busy_s": [round(u[1], 6) for u in usage],
-                    "per_worker_tasks": [u[2] for u in usage]}
+        with self._lock:
+            return _pool_stats(self.jobs, self.inline, self.respawns,
+                               self.submitted, list(self._usage.values()))
 
     # -- execution -----------------------------------------------------
     def submit(self, task: TaskSpec) -> "Future[TaskResult]":
@@ -286,13 +304,13 @@ class WorkerPool:
             except Exception:
                 pass  # not picklable: runs inline
         job = _Job(task, blob)
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise RuntimeError("WorkerPool is closed")
             self.submitted += 1
             if blob is not None and self._executor is not None:
                 self._queue.append(job)
-                self._cond.notify()
+                self._inbox.put(None)
                 return job.future
         self._run_inline(job)
         return job.future
@@ -316,7 +334,7 @@ class WorkerPool:
 
         if self.inline:
             # An inline pool runs in the caller's thread, task by task.
-            with self._cond:
+            with self._lock:
                 self.submitted += len(tasks)
             for task in tasks:
                 report(_run_here(task, 1))
@@ -339,49 +357,48 @@ class WorkerPool:
 
         self._inline_runner.submit(run)
 
-    # -- supervisor thread: everything below runs under ``_cond`` ---------
+    # -- supervisor thread ---------------------------------------------
     def _supervise(self) -> None:
-        with self._cond:
-            while not self._closed:
-                landed, self._landed = self._landed, []
-                for future in landed:
-                    job = self._inflight.pop(future, None)
-                    if job is not None and not self._harvest(future, job):
-                        self._restart([job] + self._abandon())
-                now = time.monotonic()
-                if any(j.deadline <= now for j in self._inflight.values()):
-                    self._restart(self._abandon(), timed_out_at=now)
-                if self._executor is None:
-                    break
-                self._fill()
-                if self._landed:
-                    continue  # a task finished before its callback was added
-                soonest = min((j.deadline for j in self._inflight.values()),
-                              default=math.inf)
-                self._cond.wait(None if soonest == math.inf
-                                else max(0.0, soonest - time.monotonic()))
-            leftover = [*self._queue, *self._inflight.values()]
-            if self._closed and self._inflight:
-                _kill_workers(self._executor)
+        while not self._closed:
+            self._fill()
+            if self._executor is None:
+                break  # the executor could not be rebuilt
+            soonest = min((j.deadline for j in self._inflight.values()),
+                          default=math.inf)
+            try:
+                landed = self._inbox.get(
+                    timeout=None if soonest == math.inf
+                    else max(0.0, soonest - time.monotonic()))
+            except queue.Empty:
+                landed = None
+            job = self._inflight.pop(landed, None)
+            if job is not None and not self._harvest(landed, job):
+                self._restart([job] + self._abandon())
+            now = time.monotonic()
+            if any(j.deadline <= now for j in self._inflight.values()):
+                self._restart(self._abandon(), timed_out_at=now)
+        with self._lock:
+            # From here on submit() sees the pool closed or inline.
+            leftover = [*self._queue]
             self._queue.clear()
-            self._inflight.clear()
-        for job in leftover:
+        unfinished = self._abandon()
+        if unfinished:
+            _kill_workers(self._executor)  # closed under running tasks
+        for job in leftover + unfinished:
             if not self._closed:
-                self._run_inline(job)  # the pool could not be rebuilt
+                self._run_inline(job)  # the executor could not be rebuilt
             elif not job.future.done():
                 job.future.set_exception(
                     RuntimeError("pool closed before the task finished"))
 
-    def _landed_cb(self, future: Future) -> None:
-        with self._cond:
-            self._landed.append(future)
-            self._cond.notify()
-
     def _fill(self) -> None:
+        # With a deadline, dispatch only onto an idle worker, so the
+        # deadline (counted from dispatch) measures run time alone.
+        window = self.jobs + (self.task_timeout is None)
         while self._queue and self._executor is not None:
             solo = any(j.solo for j in (self._queue[0],
                                         *self._inflight.values()))
-            if len(self._inflight) >= (1 if solo else self.jobs + 1):
+            if len(self._inflight) >= (1 if solo else window):
                 return
             job = self._queue.popleft()
             # A future cancelled while queued (a tenant dropped its job)
@@ -399,7 +416,7 @@ class WorkerPool:
             if self.task_timeout is not None:
                 job.deadline = time.monotonic() + self.task_timeout
             self._inflight[future] = job
-            future.add_done_callback(self._landed_cb)
+            future.add_done_callback(self._inbox.put)
 
     def _harvest(self, future: Future, job: _Job) -> bool:
         """Settle ``job`` from its finished future; False if the pool
@@ -413,9 +430,10 @@ class WorkerPool:
                 index=0, error=f"{type(exc).__name__}: {exc}",
                 attempts=job.attempts))
             return True
-        usage = self._usage.setdefault(pid, [len(self._usage), 0.0, 0])
-        usage[1] += wall
-        usage[2] += 1
+        with self._lock:
+            usage = self._usage.setdefault(pid, [len(self._usage), 0.0, 0])
+            usage[1] += wall
+            usage[2] += 1
         job.future.set_result(TaskResult(
             index=0, value=value, error=error, attempts=job.attempts,
             wall_s=wall, worker=usage[0]))
@@ -437,10 +455,9 @@ class WorkerPool:
         past their deadline are charged; their siblings are innocent.
         """
         timeout = timed_out_at is not None
-        old, self._executor = self._executor, None
         if timeout:
-            _kill_workers(old)
-        old.shutdown(wait=False, cancel_futures=True)
+            _kill_workers(self._executor)
+        self._executor.shutdown(wait=False, cancel_futures=True)
         self._executor = self._build()
         if self._executor is not None:
             self.respawns += self.jobs
@@ -544,11 +561,10 @@ def run_tasks(
         if misses:
             pool.map([tasks[i] for i in misses], on_result=landed)
         if stats_out is not None:
-            stats_out.update(pool.stats() if pool is not None else {
-                **WorkerPool(1).stats(), "jobs": resolve_jobs(jobs)})
-            stats_out["wall_s"] = round(time.perf_counter() - t0, 6)
-            stats_out["tasks"] = len(tasks)
-            stats_out["executed"] = len(misses)
+            stats_out.update(pool.stats() if pool is not None
+                             else _pool_stats(resolve_jobs(jobs)),
+                             wall_s=round(time.perf_counter() - t0, 6),
+                             tasks=len(tasks), executed=len(misses))
             if cache is not None:
                 stats_out["cache"] = cache.stats()
     finally:

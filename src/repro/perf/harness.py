@@ -30,7 +30,7 @@ from ..verify.conformance import build_matrix, run_matrix
 __all__ = ["bench_harness"]
 
 #: Fuzz seeds per case.  Chosen so the sequential quick matrix takes a
-#: few seconds — orders of magnitude above the pool's fixed cost (~15 ms
+#: few seconds — orders of magnitude above the pool's fixed cost (~10 ms
 #: to build a 2-worker pool, run one task and close it on a 2-core
 #: host), so that cost cannot mask a genuine multi-core speedup.
 DEFAULT_SEEDS = 15

@@ -381,11 +381,11 @@ def run_matrix(
     :class:`repro.exec.ResultCache`) skips cases whose content key —
     case spec, seed count, and source-tree fingerprint — already has a
     stored result.  ``task_timeout`` bounds one case's wall-clock in a
-    worker, counted from its dispatch to the pool; a case that crashes
-    its worker twice comes back as a failed :class:`CaseResult` instead
-    of aborting the matrix, and one that times out twice gets a last
-    untimed inline attempt.  ``stats_out`` receives pool utilization
-    and cache counters.
+    worker, counted from its dispatch onto an idle worker; a case that
+    crashes its worker twice comes back as a failed :class:`CaseResult`
+    instead of aborting the matrix, and one that times out twice gets a
+    last untimed inline attempt.  ``stats_out`` receives pool
+    utilization and cache counters.
     """
     from ..exec import TaskSpec, run_tasks
 

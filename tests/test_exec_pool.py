@@ -47,6 +47,11 @@ def napper(seconds):
     return "slept"
 
 
+def late_env_and_pid():
+    time.sleep(0.05)  # long enough that both workers take a share
+    return os.environ.get("REPRO_TEST_LATE"), os.getpid()
+
+
 def hang_in_worker(seconds):
     """Hang only inside a pool worker; complete instantly when run
     inline in the parent — models environment-induced hangs."""
@@ -326,6 +331,61 @@ class TestRebuilds:
             assert [r.value for r in results] == expected
         assert not any(r.inline for r in after_crash + after_timeout)
 
+    def test_repeated_crash_and_timeout_rebuilds_never_hang(self):
+        """Crashes and kills land while the supervisor is dispatching or
+        replacing the executor; no interleaving may wedge the pool."""
+        def rounds(pool, out):
+            for _ in range(4):
+                for bad in (TaskSpec(crash_always, (0,)),
+                            TaskSpec(hang_in_worker, (30.0,))):
+                    out.append(pool.map(
+                        [TaskSpec(square, (i,)) for i in range(3)] + [bad]
+                        + [TaskSpec(square, (i,)) for i in range(3, 6)]))
+
+        pool = WorkerPool(jobs=2, task_timeout=0.3)
+        if not _pool_is_real(pool):
+            pool.close()
+            pytest.skip("no worker processes in this environment")
+        out = []
+        runner = threading.Thread(target=rounds, args=(pool, out),
+                                  daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        # a wedged pool is left unclosed: close() would hang as well
+        assert not runner.is_alive(), "pool wedged during a rebuild"
+        pool.close()
+        assert len(out) == 8
+        squares = [i * i for i in range(6)]
+        for crashed, timed_out in zip(out[::2], out[1::2]):
+            assert "crash" in crashed[3].error
+            assert timed_out[3].value == "inline-ok"
+            for results in (crashed, timed_out):
+                assert [r.value for r in results[:3] + results[4:]] == squares
+
+    def test_failed_rebuild_finishes_queued_work_inline(self):
+        """A worker that dies while idle breaks the executor; if it
+        cannot be rebuilt, pending and later tasks run inline."""
+        import signal
+
+        with WorkerPool(jobs=2) as pool:
+            if not _pool_is_real(pool):
+                pytest.skip("no worker processes in this environment")
+            pids = {r.value for r in pool.map([TaskSpec(os.getpid)] * 4)}
+            pool._build = lambda: None  # the sandbox stops allowing forks
+            os.kill(pids.pop(), signal.SIGKILL)
+            time.sleep(0.5)
+            done = []
+            runner = threading.Thread(
+                target=lambda: done.append(
+                    pool.map([TaskSpec(square, (i,)) for i in range(5)])),
+                daemon=True)
+            runner.start()
+            runner.join(timeout=30)
+            assert not runner.is_alive(), "queued work stranded"
+            assert pool.inline
+            assert pool.map([TaskSpec(square, (7,))])[0].value == 49
+        assert [r.value for r in done[0]] == [i * i for i in range(5)]
+
     def test_crash_isolated_to_the_poison_task(self):
         """Siblings in flight when the poison task kills its worker are
         re-run on workers, not charged with its crash."""
@@ -347,6 +407,29 @@ class TestRebuilds:
 
 
 class TestSubmit:
+    def test_workers_forked_when_the_pool_is_built(self, monkeypatch):
+        """What the parent changes after building the pool (an installed
+        profiler, an environment variable) never reaches its workers."""
+        with WorkerPool(jobs=2) as pool:
+            if not _pool_is_real(pool):
+                pytest.skip("no worker processes in this environment")
+            monkeypatch.setenv("REPRO_TEST_LATE", "set after the fork")
+            results = pool.map([TaskSpec(late_env_and_pid)] * 6)
+        assert {r.value[0] for r in results} == {None}
+        assert len({r.value[1] for r in results}) == 2
+
+    def test_deadline_counts_run_time_not_queueing(self):
+        """With a deadline, a task is dispatched only onto an idle
+        worker: three tasks of 0.6x the timeout on two workers all
+        finish pooled, none is mistaken for a hang."""
+        with WorkerPool(jobs=2, task_timeout=1.0) as pool:
+            if not _pool_is_real(pool):
+                pytest.skip("no worker processes in this environment")
+            results = pool.map([TaskSpec(napper, (0.6,))] * 3)
+        assert [r.value for r in results] == ["slept"] * 3
+        assert pool.respawns == 0
+        assert not any(r.inline for r in results)
+
     def test_concurrent_submit_with_task_timeout(self):
         """Two threads share one pool with a deadline, as the job
         server's tenants do: the hung task ends on its inline attempt,
@@ -372,6 +455,7 @@ class TestSubmit:
                 t.start()
             for t in threads:
                 t.join(timeout=30)
+                assert not t.is_alive()
             a = [f.result(timeout=30) for f in futures["a"]]
             b = [f.result(timeout=30) for f in futures["b"]]
         assert a[0].value == "inline-ok"
