@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from .base import NOTIFY_NBYTES, payload_nbytes
 
@@ -107,6 +107,13 @@ class CrossoverTable:
                    str(row["band"]))
             entries[key] = str(row["algorithm"])
         return cls(entries)
+
+    def rows(self) -> List[Dict]:
+        """Winner rows in sorted order — the inverse of :meth:`from_rows`."""
+        return [{"kind": kind, "nodes": nodes, "ipn": ipn, "band": band,
+                 "algorithm": algorithm}
+                for (kind, nodes, ipn, band), algorithm
+                in sorted(self._entries.items())]
 
     @classmethod
     def from_json(cls, path: Union[str, os.PathLike]) -> "CrossoverTable":

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cache import DEFAULT_CACHE_DIR, ResultCache, source_fingerprint
+from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .pool import auto_jobs
 
 
@@ -47,9 +47,10 @@ def main(argv=None) -> int:
 
     print(f"workers with -j auto : {auto_jobs()}")
     print(f"cache root           : {args.cache_dir}")
-    print(f"cached results       : {cache.entry_count()}")
-    print(f"cache bytes          : {cache.total_bytes()}")
-    print(f"source fingerprint   : {source_fingerprint()[:16]}…")
+    entries, total_bytes = cache.usage()
+    print(f"cached results       : {entries}")
+    print(f"cache bytes          : {total_bytes}")
+    print(f"source fingerprint   : {cache.source_fp[:16]}…")
     return 0
 
 

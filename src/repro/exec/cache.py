@@ -9,16 +9,27 @@ value".  The key is a sha256 over
 * the **source fingerprint** — a digest over every ``*.py`` file under
   the configured source roots (default: the installed ``repro``
   package), so editing any simulator/runtime/collective source
-  invalidates every entry at once, and
+  invalidates every entry at once,
+* a digest of the crossover table ``"tuned"`` collectives dispatch on
+  (:func:`repro.collectives.tuned.current_table`), and the Python and
+  NumPy versions, and
 * a format version, bumped when the entry layout changes.
+
+Everything but the task fingerprint is the cache's **key material**,
+computed once when a :class:`ResultCache` is opened: a warm lookup
+costs a hash of the task plus one file read, no source-tree scan.  An
+open cache's keys therefore name the source tree (and table) as it was
+when the cache was opened — which, in a process that forks its workers
+after opening the cache, is the code those workers run.  Pick up a
+source edit by opening a new cache (for the job server: restart it).
 
 Entries live under ``.repro-cache/<namespace>/<generation>/<key[:2]>/
 <key>.pkl`` as pickled blobs, written atomically (temp file + rename) so
 a crashed or concurrent run never leaves a torn entry.  The
-**generation** directory is the first 12 hex digits of the source
-fingerprint: every source change starts a fresh generation, and the
-entries of superseded generations — which can never hit again, their
-fingerprint is baked into every key — become eviction fodder that
+**generation** directory is the first 12 hex digits of a digest of the
+key material: every source or table change starts a fresh generation,
+and the entries of superseded generations — which can never hit again,
+their material is baked into every key — become eviction fodder that
 :meth:`ResultCache.evict` sweeps wholesale before it has to consider
 evicting anything current.
 
@@ -29,23 +40,28 @@ mid-read, a momentary EPERM) leave the entry alone — it is most likely
 perfectly valid and the next reader will get it.  The cache is strictly
 an accelerator, never a source of truth.
 
-The source fingerprint is memoized per root set, guarded by a cheap
-stat scan (file list + mtimes + sizes): a long-lived process — the
-``repro.serve`` job server in particular — re-hashes the tree only when
-some ``*.py`` file actually changed, instead of serving keys computed
-from stale source forever.
+:func:`source_fingerprint` itself is memoized per root set, guarded by
+a cheap stat scan (file list + mtimes + sizes), so calling it again —
+as the job server's ``/stats`` does to report whether the on-disk
+source has moved past what it runs — re-hashes the tree only when some
+``*.py`` file actually changed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import pickle
+import sys
 import tempfile
 import time
 from pathlib import Path
 from typing import Any, List, Optional, Sequence, Tuple
 
+import numpy
+
+from ..collectives.tuned import current_table
 from .task import PICKLE_PROTOCOL, TaskSpec, UnstableFingerprint, stable_fingerprint
 
 __all__ = ["ResultCache", "source_fingerprint", "DEFAULT_CACHE_DIR"]
@@ -86,11 +102,8 @@ def _stat_signature(files: Sequence[Path]) -> Tuple:
     ~10^2 ``stat`` calls plus the ``rglob`` that lists them.  That is
     cheaper than re-hashing every file's content, but not free: measured
     at ~1.9 ms per :func:`source_fingerprint` call on a shared 2-core
-    x86-64 host, and a warm cache lookup runs it twice (``task_key`` and
-    ``get``), which makes it nearly all of a warm grid pass (findings in
-    ``perfbench/README.md``).  Computing it once per job, or revalidating
-    it on an epoch, is part of the ROADMAP open item "Make every cached
-    result a function of declared inputs only".  Any edit, addition, or
+    x86-64 host — which is why :class:`ResultCache` calls it once, when
+    it is opened, and never per lookup.  Any edit, addition, or
     deletion of a ``*.py`` file changes the signature; an edit that
     preserves mtime *and* size (``os.utime`` games) is invisible by
     design — that is the price of the cheap scan,
@@ -109,11 +122,10 @@ def _stat_signature(files: Sequence[Path]) -> Tuple:
 def source_fingerprint(roots: Optional[Sequence[os.PathLike]] = None) -> str:
     """Digest of every ``*.py`` file under ``roots`` (path + content).
 
-    Memoized per root set, revalidated by a stat scan on every call: the
-    harness hashes ~10^2 files once, then re-hashes only when the file
-    set, an mtime, or a size changes — so a long-lived server picks up
-    source edits without restarting, while the steady-state cost stays
-    at one ``stat`` per file.
+    Memoized per root set, revalidated by a stat scan on every call: it
+    hashes ~10^2 files once, then re-hashes only when the file set, an
+    mtime, or a size changes, so a repeated call costs one ``stat`` per
+    file.
     """
     key = tuple(str(Path(r).resolve()) for r in roots) if roots else _default_roots()
     files = _source_files(key)
@@ -147,13 +159,35 @@ def invalidate_fingerprint_memo() -> None:
     _FP_MEMO.clear()
 
 
+def _key_material(source_fp: str) -> str:
+    """Everything a cache key covers besides the task itself.
+
+    The format version, the source fingerprint, a digest of the
+    crossover table that ``"tuned"`` collectives dispatch on (canonical
+    JSON of its rows, or ``none``), and the Python and NumPy versions.
+    The working directory and the environment enter only through the
+    table they resolve.
+    """
+    table = current_table()
+    table_digest = "none" if table is None else hashlib.sha256(
+        json.dumps(table.rows(), sort_keys=True).encode()).hexdigest()
+    return (f"v{_FORMAT_VERSION}|src:{source_fp}"
+            f"|table:{table_digest}"
+            f"|python:{sys.version}|numpy:{numpy.__version__}")
+
+
 def _is_generation_dir(name: str) -> bool:
     return (len(name) == _GENERATION_LEN
             and all(c in "0123456789abcdef" for c in name))
 
 
 class ResultCache:
-    """Content-addressed store of task results under ``root``."""
+    """Content-addressed store of task results under ``root``.
+
+    The key material (:func:`_key_material`) is computed once, here: an
+    open cache keeps keying under the source tree and crossover table it
+    saw when it was constructed.
+    """
 
     def __init__(
         self,
@@ -164,6 +198,11 @@ class ResultCache:
         self.root = Path(root) if root is not None else Path(DEFAULT_CACHE_DIR)
         self.namespace = namespace
         self.source_roots = source_roots
+        #: :func:`source_fingerprint` of ``source_roots`` at opening
+        self.source_fp = source_fingerprint(source_roots)
+        self._material = _key_material(self.source_fp)
+        self._generation = hashlib.sha256(
+            self._material.encode()).hexdigest()[:_GENERATION_LEN]
         # counters for reporting ("cache: 99/110 hit")
         self.hits = 0
         self.misses = 0
@@ -183,11 +222,11 @@ class ResultCache:
         return self.root / self.namespace
 
     def generation(self) -> str:
-        """Directory name of the current source generation."""
-        return source_fingerprint(self.source_roots)[:_GENERATION_LEN]
+        """Directory name of this cache's key-material generation."""
+        return self._generation
 
     def _path(self, key: str) -> Path:
-        return self._dir() / self.generation() / key[:2] / f"{key}.pkl"
+        return self._dir() / self._generation / key[:2] / f"{key}.pkl"
 
     def task_key(self, task: TaskSpec) -> Optional[str]:
         """Full cache key for ``task``; None when it cannot be keyed."""
@@ -196,8 +235,7 @@ class ResultCache:
         except UnstableFingerprint:
             self.unkeyed += 1
             return None
-        material = f"v{_FORMAT_VERSION}|{fp}|{source_fingerprint(self.source_roots)}"
-        return hashlib.sha256(material.encode()).hexdigest()
+        return hashlib.sha256(f"{self._material}|{fp}".encode()).hexdigest()
 
     # ------------------------------------------------------------------
     def get(self, key: str) -> Tuple[bool, Any]:
@@ -255,25 +293,25 @@ class ResultCache:
         return True
 
     # ------------------------------------------------------------------
+    def usage(self) -> Tuple[int, int]:
+        """``(entries, bytes)`` of this namespace in one directory walk;
+        the byte count covers entries *and* temp files."""
+        entries = total = 0
+        for dirpath, _dirnames, filenames in os.walk(self._dir()):
+            for name in filenames:
+                try:
+                    total += os.stat(os.path.join(dirpath, name)).st_size
+                except OSError:
+                    continue
+                if name.endswith(".pkl"):
+                    entries += 1
+        return entries, total
+
     def entry_count(self) -> int:
-        base = self._dir()
-        if not base.is_dir():
-            return 0
-        return sum(1 for _ in base.rglob("*.pkl"))
+        return self.usage()[0]
 
     def total_bytes(self) -> int:
-        """Disk footprint of this namespace: entries *and* temp files."""
-        base = self._dir()
-        if not base.is_dir():
-            return 0
-        total = 0
-        for path in base.rglob("*"):
-            try:
-                if path.is_file():
-                    total += path.stat().st_size
-            except OSError:
-                pass
-        return total
+        return self.usage()[1]
 
     def clear(self) -> int:
         """Delete this namespace's entries; returns how many went.
@@ -312,9 +350,10 @@ class ResultCache:
         1. ``*.tmp`` orphans older than ``tmp_grace_s`` (a live ``put``
            holds its temp file for milliseconds; anything old is the
            debris of a crashed writer);
-        2. **stale generations** — entries written under a previous
-           source fingerprint can never hit again (the fingerprint is in
-           every key), so their whole directory goes;
+        2. **stale generations** — entries written under other key
+           material (another source tree or table) can never hit this
+           cache (the material is in every key), so their whole
+           directory goes;
         3. oldest-mtime entries of the current generation, until
            ``max_bytes`` / ``max_entries`` hold (either may be None).
 
@@ -338,7 +377,7 @@ class ResultCache:
                     out["bytes_freed"] += st.st_size
             except OSError:
                 pass
-        current = self.generation()
+        current = self._generation
         for gen_dir in [p for p in base.rglob("*")
                         if p.is_dir() and _is_generation_dir(p.name)]:
             if gen_dir.name == current:

@@ -11,19 +11,23 @@ One process serves every tenant:
   then a final ``{"event": "done", ...}`` record.
 * ``GET /jobs/<id>`` — job snapshot; once done it includes ``table``,
   the rendered output byte-identical to the sequential CLI's.
-* ``GET /stats`` — pool, cache, dedup, and per-tenant counters.
+* ``GET /stats`` — pool, cache, dedup, and per-tenant counters;
+  ``cache.source_current`` turns false once the source on disk has
+  moved past what the server runs (restart to pick it up).
 * ``GET /healthz`` — liveness; ``POST /shutdown`` — graceful stop.
 
 Each cell takes the cheapest path that can serve it: the **in-flight
 index** (another tenant is computing it right now — await their future),
-the **result cache** (same task + same source fingerprint executed any
-time in the past), and only then :meth:`WorkerPool.submit
+the **result cache** (same task + same key material executed any time
+in the past), and only then :meth:`WorkerPool.submit
 <repro.exec.pool.WorkerPool.submit>` on the server's one warm pool,
 where cells from every concurrent job interleave across the workers.
-After every ``evict_interval`` cache writes the server sweeps the store —
-superseded source generations first, then oldest entries — so a
-long-lived server under ``--max-cache-mb`` never grows without bound
-even as the source tree churns underneath it.
+The cache's key material — source fingerprint included — is fixed when
+the server starts, before its workers fork; after editing source,
+restart the server.  After every ``evict_interval`` cache writes the
+server sweeps the store — generations other than its own first (left
+by runs of other source trees), then oldest entries — so a long-lived
+server under ``--max-cache-mb`` never grows without bound.
 
 The HTTP layer is deliberately minimal (HTTP/1.1, ``Connection:
 close``, stdlib only): the clients are the bench/verify CLIs and
@@ -37,7 +41,7 @@ import json
 import time
 from typing import Optional, Sequence
 
-from ..exec.cache import DEFAULT_CACHE_DIR, ResultCache
+from ..exec.cache import DEFAULT_CACHE_DIR, ResultCache, source_fingerprint
 from ..exec.pool import WorkerPool
 from .jobs import InFlightIndex, Job, JobRegistry
 from .spec import Cell, SpecError, expand
@@ -61,9 +65,11 @@ class JobServer:
         evict_interval: int = 64,
         task_timeout: Optional[float] = None,
     ):
-        self.pool = WorkerPool(jobs, task_timeout=task_timeout)
+        # the cache's key material is taken before the workers fork, so
+        # every key names the code the workers run
         self.cache = ResultCache(root=cache_root, namespace=namespace,
                                  source_roots=source_roots)
+        self.pool = WorkerPool(jobs, task_timeout=task_timeout)
         self.registry = JobRegistry()
         self.inflight = InFlightIndex()
         self.max_cache_bytes = max_cache_bytes
@@ -271,15 +277,20 @@ class JobServer:
 
     # -- stats ---------------------------------------------------------
     def stats(self) -> dict:
+        entries, total_bytes = self.cache.usage()
         return {
             "uptime_s": round(time.time() - self.started, 3),
             "pool": self.pool.stats(),
             "cache": {
                 **self.cache.stats(),
-                "entries": self.cache.entry_count(),
-                "total_bytes": self.cache.total_bytes(),
+                "entries": entries,
+                "total_bytes": total_bytes,
                 "max_bytes": self.max_cache_bytes,
                 "generation": self.cache.generation(),
+                # False once the on-disk source moved past what this
+                # server runs: a restart is due
+                "source_current": source_fingerprint(
+                    self.cache.source_roots) == self.cache.source_fp,
                 "last_evict": self._last_evict,
             },
             "inflight": {"open": len(self.inflight),

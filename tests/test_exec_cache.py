@@ -257,7 +257,9 @@ class TestEviction:
         self._fill(cache, 3)
         gen1 = cache.generation()
         (src_root / "mod.py").write_text("X = 22\n")
-        assert cache.generation() != gen1  # stat scan saw the edit
+        # an open cache keeps its key material: reopen, as a restart does
+        cache = ResultCache(root=tmp_path / "c", source_roots=[src_root])
+        assert cache.generation() != gen1
         self._fill(cache, 3, start=10)
         assert cache.entry_count() == 6
         out = cache.evict()
@@ -292,6 +294,125 @@ class TestEviction:
         assert out["entries_removed"] == 5
         assert cache.entry_count() == 3
         assert cache.evicted == 5
+
+
+# ----------------------------------------------------------------------
+class TestKeyMaterial:
+    """The key material is computed when a cache is opened and covers
+    every declared input — task, source tree, crossover table, Python
+    and NumPy versions — and nothing undeclared."""
+
+    @staticmethod
+    def _src(tmp_path):
+        src_root = tmp_path / "src"
+        src_root.mkdir(exist_ok=True)
+        (src_root / "mod.py").write_text("X = 1\n")
+        return src_root
+
+    def test_open_cache_keeps_its_keys_across_a_source_edit(self, tmp_path):
+        src_root = self._src(tmp_path)
+        cache = ResultCache(root=tmp_path / "c", source_roots=[src_root])
+        task = TaskSpec(job, (3,))
+        key, gen = cache.task_key(task), cache.generation()
+        (src_root / "mod.py").write_text("X = 22\n")
+        assert cache.task_key(task) == key
+        assert cache.generation() == gen
+        reopened = ResultCache(root=tmp_path / "c", source_roots=[src_root])
+        assert reopened.generation() != gen
+        assert reopened.task_key(task) != key
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_declared_inputs_change_the_key_undeclared_do_not(
+            self, tmp_path, monkeypatch, seed):
+        import random
+        import sys
+
+        from repro.collectives import tuned
+
+        rng = random.Random(seed)
+        src_root = self._src(tmp_path)
+        args = (rng.randrange(10**6), rng.random())
+        rows = [{"kind": "barrier", "nodes": rng.randrange(1, 64),
+                 "ipn": rng.randrange(1, 16), "band": "small",
+                 "algorithm": "dissemination"}]
+        monkeypatch.setattr(tuned, "_installed",
+                            tuned.CrossoverTable.from_rows(rows))
+
+        def key(task_args=args):
+            cache = ResultCache(root=tmp_path / "c", source_roots=[src_root])
+            return cache.task_key(TaskSpec(job, task_args))
+
+        base = key()
+        # undeclared: the working directory and an unrelated env var
+        other_dir = tmp_path / f"elsewhere{seed}"
+        other_dir.mkdir()
+        monkeypatch.chdir(other_dir)
+        monkeypatch.setenv("REPRO_UNRELATED", str(rng.random()))
+        assert key() == base
+        # declared: the task arguments
+        assert key((args[0] + 1, args[1])) != base
+        # declared: the crossover table's rows
+        moved = [dict(rows[0], algorithm="tdlb")]
+        monkeypatch.setattr(tuned, "_installed",
+                            tuned.CrossoverTable.from_rows(moved))
+        assert key() != base
+        monkeypatch.setattr(tuned, "_installed",
+                            tuned.CrossoverTable.from_rows(rows))
+        assert key() == base
+        # declared: the Python and NumPy versions
+        with monkeypatch.context() as m:
+            m.setattr(sys, "version", sys.version + "+other")
+            assert key() != base
+        with monkeypatch.context() as m:
+            m.setattr(np, "__version__", np.__version__ + "+other")
+            assert key() != base
+        # declared: a source file
+        (src_root / "mod.py").write_text(f"X = {args[0]}\n")
+        assert key() != base
+
+    def test_no_table_is_its_own_material(self, tmp_path, monkeypatch):
+        from repro.collectives import tuned
+
+        src_root = self._src(tmp_path)
+        monkeypatch.setattr(tuned, "_installed", None)
+        monkeypatch.setattr(tuned, "_resolve_attempted", True)
+        monkeypatch.setattr(tuned, "_resolved", None)
+        bare = ResultCache(root=tmp_path, source_roots=[src_root])
+        monkeypatch.setattr(tuned, "_installed",
+                            tuned.CrossoverTable.from_rows([]))
+        empty = ResultCache(root=tmp_path, source_roots=[src_root])
+        assert bare.generation() != empty.generation()
+
+
+class TestWarmPath:
+    def test_lookups_never_scan_the_source_tree(self, tmp_path, monkeypatch):
+        """The warm-path gate, with no timing: once a cache is open, no
+        ``task_key``/``get``/``put`` fingerprints or lists the source."""
+        import repro.exec.cache as cache_mod
+
+        calls = {"fingerprint": 0, "scan": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        cache = ResultCache(root=tmp_path)
+        monkeypatch.setattr(cache_mod, "source_fingerprint",
+                            counted("fingerprint", cache_mod.source_fingerprint))
+        monkeypatch.setattr(cache_mod, "_source_files",
+                            counted("scan", cache_mod._source_files))
+        for i in range(20):
+            assert cache.put(cache.task_key(TaskSpec(job, (i,))), i)
+        for i in range(200):
+            hit, value = cache.get(cache.task_key(TaskSpec(job, (i % 40,))))
+            assert hit == (i % 40 < 20)
+        assert calls == {"fingerprint": 0, "scan": 0}
+        assert cache.hits == 100 and cache.puts == 20
+        # the wrappers do count: opening a cache fingerprints once
+        ResultCache(root=tmp_path)
+        assert calls == {"fingerprint": 1, "scan": 1}
 
 
 # ----------------------------------------------------------------------

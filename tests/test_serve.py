@@ -28,7 +28,7 @@ from repro.serve.client import (
     wait_server,
 )
 from repro.serve.jobs import Job, JobRegistry
-from repro.serve.server import serve_forever
+from repro.serve.server import JobServer, serve_forever
 from repro.serve.spec import SpecError, expand, outcome_shims
 
 
@@ -178,6 +178,37 @@ class TestJobPlumbing:
         assert stats["total"] == 3
         assert stats["tenants"]["alice"]["jobs"] == 2
         assert stats["tenants"]["bob"]["jobs"] == 1
+
+
+# ----------------------------------------------------------------------
+class TestSourceGeneration:
+    def test_generation_fixed_at_start_and_source_current_reported(
+            self, tmp_path):
+        """A server keys under the source it started with — the code its
+        workers run — and ``/stats`` says when an edit calls for a
+        restart."""
+        src_root = tmp_path / "src"
+        src_root.mkdir()
+        (src_root / "mod.py").write_text("X = 1\n")
+        app = JobServer(jobs=1, cache_root=tmp_path / "cache",
+                        source_roots=[src_root])
+        try:
+            before = app.stats()["cache"]
+            assert before["source_current"] is True
+            (src_root / "mod.py").write_text("X = 22\n")
+            after = app.stats()["cache"]
+            assert after["generation"] == before["generation"]
+            assert after["source_current"] is False
+        finally:
+            app.close()
+        restarted = JobServer(jobs=1, cache_root=tmp_path / "cache",
+                              source_roots=[src_root])
+        try:
+            cache = restarted.stats()["cache"]
+            assert cache["generation"] != before["generation"]
+            assert cache["source_current"] is True
+        finally:
+            restarted.close()
 
 
 # ----------------------------------------------------------------------
