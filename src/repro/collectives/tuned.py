@@ -21,9 +21,12 @@ members delegate to the same underlying algorithm and the collective's
 results stay bit-identical with running that algorithm directly.
 
 Table resolution order: :func:`install_table` (explicit, wins) → the
-``REPRO_TOURNAMENT`` environment variable → ``./TOURNAMENT.json`` in the
-current directory.  The resolved table is cached process-wide; call
-``install_table(None)`` to drop it and re-resolve.
+file the ``REPRO_TOURNAMENT`` environment variable names → no table (the
+defaults).  The working directory is never consulted, so a process's
+dispatch does not depend on where it was started; point
+``REPRO_TOURNAMENT`` at the committed ``TOURNAMENT.json`` to use it.
+The resolved table is cached process-wide; call ``install_table(None)``
+to drop it and re-resolve.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ def install_table(table) -> None:
 
     Accepts a :class:`CrossoverTable`, a list of winner rows, a path to a
     TOURNAMENT.json file, or None to drop the installation and fall back
-    to env/cwd resolution on next use.
+    to ``REPRO_TOURNAMENT`` resolution on next use.
     """
     global _installed, _resolved, _resolve_attempted
     if table is None:
@@ -157,23 +160,20 @@ def install_table(table) -> None:
 
 
 def current_table() -> Optional[CrossoverTable]:
-    """The table dispatch currently consults (installed → REPRO_TOURNAMENT
-    env → ./TOURNAMENT.json), or None when none resolves."""
+    """The table dispatch currently consults (installed → the
+    ``REPRO_TOURNAMENT`` file), or None when neither resolves."""
     global _resolved, _resolve_attempted
     if _installed is not None:
         return _installed
     if not _resolve_attempted:
         _resolve_attempted = True
         _resolved = None
-        for candidate in (os.environ.get("REPRO_TOURNAMENT"),
-                          "TOURNAMENT.json"):
-            if candidate and os.path.exists(candidate):
-                try:
-                    _resolved = CrossoverTable.from_json(candidate)
-                except (OSError, ValueError, KeyError, json.JSONDecodeError):
-                    _resolved = None
-                else:
-                    break
+        path = os.environ.get("REPRO_TOURNAMENT")
+        if path and os.path.exists(path):
+            try:
+                _resolved = CrossoverTable.from_json(path)
+            except (OSError, ValueError, KeyError, json.JSONDecodeError):
+                _resolved = None
     return _resolved
 
 

@@ -165,8 +165,8 @@ def _key_material(source_fp: str) -> str:
     The format version, the source fingerprint, a digest of the
     crossover table that ``"tuned"`` collectives dispatch on (canonical
     JSON of its rows, or ``none``), and the Python and NumPy versions.
-    The working directory and the environment enter only through the
-    table they resolve.
+    The environment enters only through the table ``REPRO_TOURNAMENT``
+    names; the working directory does not enter at all.
     """
     table = current_table()
     table_digest = "none" if table is None else hashlib.sha256(

@@ -45,13 +45,27 @@ that shape.  Every consumer distinguishes the two forms with one
 ``__class__ is list`` check; the record itself is a tuple, so the forms
 cannot be confused.
 
-One deliberately documented fast-path refinement: while ``run()`` drains
+Dispatch paths
+--------------
+``run()`` drains the queue one of two ways, chosen only by what is
+attached to the engine:
+
+* the **lean loop** (``_run_fast``) when there is no ``until`` horizon,
+  no ``tiebreak_seed``, no ``trace`` callback and no ``monitor``: one
+  ``heappop`` per instant, batch-sized bookkeeping, and the
+  :class:`~repro.sim.process.Process` resume inlined;
+* the **step() loop** otherwise: :meth:`Engine.step` per event, with
+  the trace callback, exact per-event counters and the ``until`` test.
+  Monitored runs also resume through here — ``Process._step`` brackets
+  each resume with the monitor's hooks.
+
+One deliberately documented lean-loop refinement: while ``run()`` drains
 the bucket at instant ``t``, an event scheduled *at* ``t`` lands in a
 fresh bucket and fires after every event already pending at ``t`` —
 which is exactly where its (maximal) sequence number would have placed
 it, **unless** it carries a non-default priority.  Nothing in the tree
 schedules with a priority from inside a same-instant callback; the
-instrumented ``step()`` path keeps exact key order for such events.
+``step()`` loop keeps exact key order for such events.
 """
 
 from __future__ import annotations
@@ -112,6 +126,7 @@ class Engine:
     trace:
         Optional callable invoked as ``trace(time, label)`` for every
         event that carries a label; useful in tests that assert ordering.
+        A traced run dispatches through the ``step()`` loop.
     tiebreak_seed:
         When given, events sharing a ``(time, priority)`` slot fire in a
         seed-determined pseudo-random order instead of insertion order.
@@ -496,13 +511,13 @@ class Engine:
     def step(self) -> bool:
         """Dispatch the single earliest event. Returns False if no event is pending.
 
-        This is the instrumentation-friendly slow path: the
-        :meth:`run` loop inlines the same logic with locals hoisted, so
-        tools that need per-event control (``repro.perf`` stats, tests)
-        can drive ``step()`` without the fast loop having to pay for the
-        method call on every event.  Unlike the fast path, ``step()``
-        keeps exact ``(time, key)`` order even for prioritized events
-        scheduled at the instant being drained.
+        This is the instrumentation-friendly path: :meth:`run` drives it
+        for traced, monitored, tiebreak and ``until`` runs, and tools that
+        need per-event control (``repro.perf`` stats, tests) call it
+        directly.  The lean ``_run_fast`` loop inlines the same logic with
+        locals hoisted for every other run.  Unlike the lean loop,
+        ``step()`` keeps exact ``(time, key)`` order even for prioritized
+        events scheduled at the instant being drained.
         """
         t = self._peek_time()
         if t is None:
@@ -546,7 +561,8 @@ class Engine:
             raise RuntimeError("Engine.run() is not reentrant")
         self._running = True
         try:
-            fast = until is None and self._tiebreak_rng is None
+            fast = (until is None and self._tiebreak_rng is None
+                    and self._trace is None and self.monitor is None)
             while True:
                 if fast:
                     self._run_fast()
@@ -576,15 +592,16 @@ class Engine:
             self._running = False
 
     def _run_fast(self) -> None:
-        """Drain the queue on the default path (no ``until`` horizon, no
-        tiebreak jitter): one ``heappop`` per *instant*, then a plain
-        index walk over the instant's bucket, with everything hot hoisted
-        into locals.  Event order, clock updates, tracing and the
-        ``max_events`` ceiling match :meth:`step` (modulo the documented
-        same-instant-priority refinement in the module doc).
+        """Drain the queue on the lean path (no ``until`` horizon, no
+        tiebreak jitter, no ``trace`` callback, no monitor): one
+        ``heappop`` per *instant*, then a plain index walk over the
+        instant's bucket, with everything hot hoisted into locals.  Event
+        order, clock updates and the ``max_events`` ceiling match
+        :meth:`step` (modulo the documented same-instant-priority
+        refinement in the module doc).
 
         When the record's callable is a :class:`~repro.sim.process.Process`
-        the no-value resume is inlined here — finished/monitor guards,
+        the no-value resume is inlined here — finished guard,
         generator send, and the dominant ``Timeout`` reschedule as a
         direct bucket append — eliminating two Python frames per event on
         the hottest edge in the simulator.  ``Timeout`` objects validate
@@ -601,128 +618,56 @@ class Engine:
         """
         times = self._times
         buckets = self._buckets
-        bucket_get = buckets.get
         bucket_pop = buckets.pop
         setdef = buckets.setdefault
         heappop = heapq.heappop
         heappush = heapq.heappush
         heappushpop = heapq.heappushpop
-        trace = self._trace
         max_events = self._max_events
         nextseq = self._seq_counter.__next__
         proc_cls = _PROCESS_CLASS
         timeout_cls = _TIMEOUT_CLASS
-        # The monitor is attached before ``run()`` and never mid-drain
-        # (the only writer is ``run_spmd``); hoisting the read off the
-        # per-instant path is measurable on singleton-heavy workloads.
-        monitor = self.monitor
         processed = self._events_processed
         # ``_events_processed`` is kept in a local and written back when
         # the loop exits (or an event raises): one store per event saved,
         # at the cost of the attribute being stale *while a callback
         # runs* — nothing in the tree reads it mid-event, and the
-        # instrumented ``step()`` path keeps exact per-event updates.
+        # ``step()`` loop keeps exact per-event updates.
         t = 0.0
         batch: Any = None
         record: Any = None
         try:
-            if trace is None and monitor is None:
-                while True:
-                    d = self._deferred
-                    if d >= 0.0:
-                        # one combined sift; when ``d`` is the minimum
-                        # the heap is not touched at all
-                        self._deferred = -1.0
-                        t = heappushpop(times, d)
-                    elif times:
-                        t = heappop(times)
-                    else:
-                        break
-                    cur = bucket_pop(t, None)
-                    if cur is None:
-                        continue  # stale heap entry: bucket already drained
-                    self._now = t
-                    if cur.__class__ is not list:
-                        # Bare singleton record — the timer-trampoline
-                        # shape (a chain rescheduling itself to a fresh
-                        # instant every event).  Dispatched with no batch
-                        # bookkeeping; on an exception the event is
-                        # already counted and its bucket gone, so the
-                        # generic restore below has nothing to do.
-                        if processed < max_events:
-                            processed += 1
-                            fn = cur[1]
-                            if fn.__class__ is not proc_cls:
-                                fn()
-                                continue
-                            # -- inlined Process.__call__ (see below) --
-                            if fn._finished:
-                                continue
-                            try:
-                                command = fn._send(None)
-                            except StopIteration as stop:
-                                fn._finished = True
-                                fn.done.trigger(stop.value)
-                                continue
-                            except Exception as exc:  # noqa: BLE001 - wrap model bugs
-                                fn._finished = True
-                                raise ProcessFailure(fn.name, exc) from exc
-                            if command.__class__ is not timeout_cls:
-                                fn._dispatch(command)
-                                continue
-                            t2 = t + command.delay
-                            seq = nextseq()
-                            rec = (seq, fn, fn._timeout_label)
-                            b = setdef(t2, rec)
-                            if b is rec:
-                                if self._deferred < 0.0:
-                                    self._deferred = t2
-                                else:
-                                    heappush(times, t2)
-                            elif b.__class__ is not list:
-                                buckets[t2] = (
-                                    [b, rec] if b[0] < seq else [rec, b]
-                                )
-                            elif seq > b[-1][0]:
-                                b.append(rec)
-                            else:
-                                insort(b, rec)
-                            continue
-                        cur = [cur]  # cold: ceiling — generic path
-                    n = len(cur)
-                    if processed + n > max_events:
-                        # Cold branch: the event ceiling falls inside
-                        # this batch — per-event checks, generic
-                        # dispatch.
-                        batch = cur
-                        k = 0
-                        for record in batch:
-                            if processed + k >= max_events:
-                                raise SimulationLimitExceeded(
-                                    f"exceeded max_events={max_events} "
-                                    f"at t={t:.9f}s"
-                                )
-                            k += 1
-                            record[-2]()
-                        processed += n
-                        batch = None
-                        continue
-                    batch = cur
-                    # Same-target bucket cache: consecutive reschedules
-                    # into one future instant (a wave re-arming the same
-                    # delay) skip the dict probe.  Reset per batch — the
-                    # cached list can only leave the dict via the outer
-                    # loop's bucket_pop.
-                    last_t2 = -1.0
-                    last_b: Any = None
-                    for record in batch:
-                        fn = record[1]
+            while True:
+                d = self._deferred
+                if d >= 0.0:
+                    # one combined sift; when ``d`` is the minimum
+                    # the heap is not touched at all
+                    self._deferred = -1.0
+                    t = heappushpop(times, d)
+                elif times:
+                    t = heappop(times)
+                else:
+                    break
+                cur = bucket_pop(t, None)
+                if cur is None:
+                    continue  # stale heap entry: bucket already drained
+                self._now = t
+                if cur.__class__ is not list:
+                    # Bare singleton record — the timer-trampoline
+                    # shape (a chain rescheduling itself to a fresh
+                    # instant every event).  Dispatched with no batch
+                    # bookkeeping; on an exception the event is
+                    # already counted and its bucket gone, so the
+                    # generic restore below has nothing to do.
+                    if processed < max_events:
+                        processed += 1
+                        fn = cur[1]
                         if fn.__class__ is not proc_cls:
                             fn()
                             continue
-                        # -- inlined Process.__call__ (no-value resume) --
+                        # -- inlined Process._step (see below) --
                         if fn._finished:
-                            continue  # fail-stopped/completed: stale wake
+                            continue
                         try:
                             command = fn._send(None)
                         except StopIteration as stop:
@@ -738,56 +683,27 @@ class Engine:
                         t2 = t + command.delay
                         seq = nextseq()
                         rec = (seq, fn, fn._timeout_label)
-                        if t2 == last_t2:
-                            if seq > last_b[-1][0]:
-                                last_b.append(rec)
-                            else:
-                                insort(last_b, rec)
-                            continue
                         b = setdef(t2, rec)
                         if b is rec:
-                            # stored bare; the cache only tracks lists, so
-                            # leave it pointing at its (still valid) list
                             if self._deferred < 0.0:
                                 self._deferred = t2
                             else:
                                 heappush(times, t2)
-                            continue
-                        if b.__class__ is not list:
-                            b = [b, rec] if b[0] < seq else [rec, b]
-                            buckets[t2] = b
+                        elif b.__class__ is not list:
+                            buckets[t2] = (
+                                [b, rec] if b[0] < seq else [rec, b]
+                            )
                         elif seq > b[-1][0]:
                             b.append(rec)
                         else:
                             insort(b, rec)
-                        last_t2 = t2
-                        last_b = b
-                    processed += n
-                    batch = None
-            elif trace is None:
-                # A monitor is attached: it brackets every resume
-                # (``Process.__call__`` handles the begin/end hooks), so
-                # every event takes the generic dispatch with per-event
-                # ceiling checks.  Monitored runs are instrumentation
-                # runs — this loop trades speed for exact bookkeeping.
-                while True:
-                    d = self._deferred
-                    if d >= 0.0:
-                        # one combined sift; when ``d`` is the minimum
-                        # the heap is not touched at all
-                        self._deferred = -1.0
-                        t = heappushpop(times, d)
-                    elif times:
-                        t = heappop(times)
-                    else:
-                        break
-                    cur = bucket_pop(t, None)
-                    if cur is None:
                         continue
-                    self._now = t
-                    if cur.__class__ is not list:
-                        cur = [cur]  # bare singleton record
-                    n = len(cur)
+                    cur = [cur]  # cold: ceiling — generic path
+                n = len(cur)
+                if processed + n > max_events:
+                    # Cold branch: the event ceiling falls inside
+                    # this batch — per-event checks, generic
+                    # dispatch.
                     batch = cur
                     k = 0
                     for record in batch:
@@ -800,47 +716,64 @@ class Engine:
                         record[-2]()
                     processed += n
                     batch = None
-            else:
-                while True:
-                    d = self._deferred
-                    if d >= 0.0:
-                        # one combined sift; when ``d`` is the minimum
-                        # the heap is not touched at all
-                        self._deferred = -1.0
-                        t = heappushpop(times, d)
-                    elif times:
-                        t = heappop(times)
-                    else:
-                        break
-                    cur = bucket_pop(t, None)
-                    if cur is None:
+                    continue
+                batch = cur
+                # Same-target bucket cache: consecutive reschedules
+                # into one future instant (a wave re-arming the same
+                # delay) skip the dict probe.  Reset per batch — the
+                # cached list can only leave the dict via the outer
+                # loop's bucket_pop.
+                last_t2 = -1.0
+                last_b: Any = None
+                for record in batch:
+                    fn = record[1]
+                    if fn.__class__ is not proc_cls:
+                        fn()
                         continue
-                    self._now = t
-                    if cur.__class__ is not list:
-                        cur = [cur]  # bare singleton record
-                    n = len(cur)
-                    batch = cur
-                    if processed + n > max_events:
-                        k = 0
-                        for record in batch:
-                            if processed + k >= max_events:
-                                raise SimulationLimitExceeded(
-                                    f"exceeded max_events={max_events} "
-                                    f"at t={t:.9f}s"
-                                )
-                            k += 1
-                            label = record[-1]
-                            if label:
-                                trace(t, label)
-                            record[-2]()
+                    # -- inlined Process._step (no-value resume) --
+                    if fn._finished:
+                        continue  # fail-stopped/completed: stale wake
+                    try:
+                        command = fn._send(None)
+                    except StopIteration as stop:
+                        fn._finished = True
+                        fn.done.trigger(stop.value)
+                        continue
+                    except Exception as exc:  # noqa: BLE001 - wrap model bugs
+                        fn._finished = True
+                        raise ProcessFailure(fn.name, exc) from exc
+                    if command.__class__ is not timeout_cls:
+                        fn._dispatch(command)
+                        continue
+                    t2 = t + command.delay
+                    seq = nextseq()
+                    rec = (seq, fn, fn._timeout_label)
+                    if t2 == last_t2:
+                        if seq > last_b[-1][0]:
+                            last_b.append(rec)
+                        else:
+                            insort(last_b, rec)
+                        continue
+                    b = setdef(t2, rec)
+                    if b is rec:
+                        # stored bare; the cache only tracks lists, so
+                        # leave it pointing at its (still valid) list
+                        if self._deferred < 0.0:
+                            self._deferred = t2
+                        else:
+                            heappush(times, t2)
+                        continue
+                    if b.__class__ is not list:
+                        b = [b, rec] if b[0] < seq else [rec, b]
+                        buckets[t2] = b
+                    elif seq > b[-1][0]:
+                        b.append(rec)
                     else:
-                        for record in batch:
-                            label = record[-1]
-                            if label:
-                                trace(t, label)
-                            record[-2]()
-                    processed += n
-                    batch = None
+                        insort(b, rec)
+                    last_t2 = t2
+                    last_b = b
+                processed += n
+                batch = None
         except BaseException:
             # Flush the deferred push first: the failing event may have
             # parked a fresh instant there, and post-mortem inspection

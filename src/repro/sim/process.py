@@ -151,8 +151,8 @@ class Process:
         # A process has at most one outstanding no-value resume (it drives
         # a single generator), so the process object itself is the
         # callback for its spawn step and every Timeout it ever yields
-        # (``__call__`` below), and one preformatted label serves them
-        # all.  Scheduling ``self`` instead of a closure is what lets the
+        # (``__call__``, i.e. ``_step`` with no value), and one
+        # preformatted label serves them all.  Scheduling ``self`` instead of a closure is what lets the
         # engine's fast loop recognize the record by class and inline the
         # resume without any per-event indirection.
         self._timeout_label = f"{name}.timeout"
@@ -160,37 +160,6 @@ class Process:
         self._held: Optional[Resource] = None
         # Start at the current instant so spawn order = first-step order.
         engine.call_now(self, label=f"{name}.start")
-
-    def __call__(self) -> None:
-        """Resume the generator with no value (spawn step or Timeout
-        expiry).  ``Engine._run_fast`` inlines this exact body when it
-        recognizes a scheduled :class:`Process`; this method is the same
-        logic for every other dispatch path (``step()``, trace lane,
-        tiebreak/until runs) — the two must stay behaviourally identical.
-        """
-        if self._finished:
-            return  # fail-stopped (or completed): stale wake-up
-        monitor = self._engine.monitor
-        if monitor is not None:
-            self._step_monitored(None, monitor)
-            return
-        try:
-            command = self._send(None)
-        except StopIteration as stop:
-            self._finished = True
-            self.done.trigger(stop.value)
-            return
-        except Exception as exc:  # noqa: BLE001 - wrap any model bug
-            self._finished = True
-            raise ProcessFailure(self.name, exc) from exc
-        if type(command) is Timeout:
-            self._engine.schedule(command.delay, self, label=self._timeout_label)
-            return
-        handler = _DISPATCH.get(type(command))
-        if handler is None:
-            self._dispatch_other(command)
-        else:
-            handler(self, command)
 
     @property
     def finished(self) -> bool:
@@ -238,13 +207,22 @@ class Process:
             self._blocked_token = None
         self._step(value)
 
-    def _step(self, send_value: Any) -> None:
+    def _step(self, send_value: Any = None) -> None:
+        """Resume the generator with ``send_value`` and execute the
+        command it yields.  This is the one resume body: it serves the
+        spawn step and every ``Timeout`` expiry (as ``__call__``), and
+        every wake-up with a value (via ``_resume``).  With a monitor
+        attached the resume is bracketed by its ``begin_step`` /
+        ``end_step`` hooks (see ``repro.verify``).  ``Engine._run_fast``
+        inlines the no-value, unmonitored case of this exact body when it
+        recognizes a scheduled :class:`Process` — the two must stay
+        behaviourally identical.
+        """
         if self._finished:
             return  # fail-stopped (or completed): stale wake-up
         monitor = self._engine.monitor
         if monitor is not None:
-            self._step_monitored(send_value, monitor)
-            return
+            monitor.begin_step(self.actor)
         try:
             command = self._send(send_value)
         except StopIteration as stop:
@@ -254,6 +232,9 @@ class Process:
         except Exception as exc:  # noqa: BLE001 - wrap and surface any model bug
             self._finished = True
             raise ProcessFailure(self.name, exc) from exc
+        finally:
+            if monitor is not None:
+                monitor.end_step()
         # Timeout is the dominant command (every charged cost is one), so
         # it is tested inline before the dispatch-table lookup.
         if type(command) is Timeout:
@@ -267,28 +248,7 @@ class Process:
         else:
             handler(self, command)
 
-    def _step_monitored(self, send_value: Any, monitor: Any) -> None:
-        """Slow-path step: bracket the generator resume with the
-        concurrency monitor's begin/end hooks (see ``repro.verify``)."""
-        if self._finished:
-            return  # fail-stopped (or completed): stale wake-up
-        monitor.begin_step(self.actor)
-        try:
-            command = self._send(send_value)
-        except StopIteration as stop:
-            self._finished = True
-            self.done.trigger(stop.value)
-            return
-        except Exception as exc:  # noqa: BLE001 - wrap and surface any model bug
-            self._finished = True
-            raise ProcessFailure(self.name, exc) from exc
-        finally:
-            monitor.end_step()
-        handler = _DISPATCH.get(type(command))
-        if handler is None:
-            self._dispatch_other(command)
-        else:
-            handler(self, command)
+    __call__ = _step
 
     def _dispatch(self, command: Any) -> None:
         """Execute one yielded command (type-keyed; kept as the single

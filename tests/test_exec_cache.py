@@ -370,6 +370,48 @@ class TestKeyMaterial:
         (src_root / "mod.py").write_text(f"X = {args[0]}\n")
         assert key() != base
 
+    def test_cwd_tournament_json_is_not_an_input(self, tmp_path, monkeypatch):
+        """A valid ``TOURNAMENT.json`` in the working directory changes
+        neither the resolved table nor the key; only ``REPRO_TOURNAMENT``
+        can name a table file."""
+        import json
+
+        from repro.collectives import tuned
+
+        src_root = self._src(tmp_path)
+        monkeypatch.delenv("REPRO_TOURNAMENT", raising=False)
+        monkeypatch.setattr(tuned, "_installed", None)
+
+        def resolve():
+            tuned._resolve_attempted = False
+            return tuned.current_table()
+
+        def key():
+            cache = ResultCache(root=tmp_path / "c", source_roots=[src_root])
+            return cache.task_key(TaskSpec(job, (5,)))
+
+        bare_dir = tmp_path / "bare"
+        bare_dir.mkdir()
+        monkeypatch.chdir(bare_dir)
+        monkeypatch.setattr(tuned, "_resolved", None)
+        monkeypatch.setattr(tuned, "_resolve_attempted", False)
+        assert resolve() is None
+        base = key()
+
+        table_dir = tmp_path / "with_table"
+        table_dir.mkdir()
+        doc = {"schema": tuned.CrossoverTable.SCHEMA,
+               "winners": [{"kind": "barrier", "nodes": 1, "ipn": 8,
+                            "band": "small", "algorithm": "dissemination"}]}
+        (table_dir / "TOURNAMENT.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(table_dir)
+        assert resolve() is None
+        assert key() == base
+        # the same file named through the environment is a declared input
+        monkeypatch.setenv("REPRO_TOURNAMENT", "TOURNAMENT.json")
+        assert resolve().rows() == doc["winners"]
+        assert key() != base
+
     def test_no_table_is_its_own_material(self, tmp_path, monkeypatch):
         from repro.collectives import tuned
 

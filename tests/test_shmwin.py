@@ -302,9 +302,9 @@ class TestTunedDispatch:
         assert tuned.time == direct.time
         assert tuned.results == direct.results
 
-    def test_fallback_to_two_level_defaults(self, tmp_path, monkeypatch):
+    def test_fallback_to_two_level_defaults(self, monkeypatch):
         """No table anywhere: tuned == the paper's two-level stack."""
-        monkeypatch.chdir(tmp_path)  # no ./TOURNAMENT.json to pick up
+        monkeypatch.delenv("REPRO_TOURNAMENT", raising=False)
         install_table(None)
         tuned = run_small(_collective_mix, images=8, ipn=4,
                           config=UHCAF_TUNED)
