@@ -83,12 +83,32 @@ the floats and values produced are the very floats the event path
 would have produced (floating-point addition is deterministic; the
 replay never re-associates it).  See ``docs/simulation.md`` for the
 full argument.
+
+Symmetry-class evaluation
+  A TDLB dissemination or a recursive-doubling exchange is evaluated
+  once per symmetry class instead of once per message when that is
+  provably exact: the team is flat (every member sends through its own
+  node's conduit engine and NIC, and nodes are identical) and every
+  member enters at the same instant; recursive doubling further needs a
+  power-of-two member count and, round by round, equal payload sizes
+  and combine compute.  Every member then follows the same timeline bit
+  for bit, so one representative is timed per round
+  (:meth:`MacroCollectives._replay_grouped`) and the others' integer
+  counters are added in bulk (:meth:`MacroCollectives._charge_bulk`).
+  The recursive-doubling partials are computed once per block pair
+  (:func:`_rd_partials`), in both operand orders, and a block merges only
+  when the two are bitwise equal — IEEE commutativity is checked at run
+  time (signed zeros under ``min``/``max`` and NaNs with different
+  payloads fail it).  A window that misses any condition takes the
+  per-message replay.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from ..sim import Hold, SimEvent, Wait
 from .base import NOTIFY_NBYTES, binomial_peers, combine_flops, payload_nbytes
@@ -519,6 +539,72 @@ class MacroCollectives:
             delivered = delivered + conduit.profile.loopback_penalty
         return t, delivered
 
+    # -- a symmetric exchange, timed through one representative --------
+    def _symmetric(self, view, members, ready: Dict[int, float]) -> bool:
+        """Whether an exchange among ``members`` can be timed once.
+
+        The team must be flat (one image per node): every member then
+        sends only through its own node's conduit engine and NIC, and the
+        nodes are identical, so every member's costs are the same floats.
+        Every member must also enter at the same instant.  Then each
+        round gives all members the same timeline, bit for bit.
+        """
+        if len(view.shared.hierarchy.leaders) != view.size:
+            return False
+        t = ready[members[0]]
+        return all(ready[m] == t for m in members)
+
+    def _replay_grouped(self, st: _ReplayState, view, members, t: float,
+                        rounds: List[Tuple[int, int]], path: str,
+                        dt: float) -> float:
+        """Replay a symmetric exchange in which every member sends one
+        message per round and waits for one, all entering at ``t``.
+
+        ``rounds`` lists the ``(peer, nbytes)`` of ``members[0]``'s
+        message in each round.  That representative is timed through
+        :meth:`_replay_transfer`; each round ends at the later of its
+        send and the delivery it waits for, plus ``dt`` of combine
+        compute.  The other members' messages are only counted (see
+        :meth:`_charge_bulk`).  Returns the instant every member leaves
+        the last round.
+        """
+        proc_of = view.shared.proc_of
+        src = proc_of(members[0])
+        total = 0
+        for peer, nbytes in rounds:
+            done, delivered = self._replay_transfer(
+                st, src, proc_of(peer), nbytes, t, path,
+            )
+            if delivered > done:
+                done = delivered
+            t = done + dt
+            total += nbytes
+        self._charge_bulk(view, members[1:], len(rounds), total)
+        return t
+
+    def _charge_bulk(self, view, senders, messages: int,
+                     nbytes: int) -> None:
+        """Count ``messages`` internode transfers of ``nbytes`` bytes in
+        all from each of ``senders`` without timing them: the conduit's
+        path counts, the interconnect's traffic, and one grant per
+        message on each sender's overhead resource and NIC — the
+        integers :meth:`_replay_transfer` would have added."""
+        conduit = self.world.conduit
+        fabric = self.world.machine.interconnect
+        count = len(senders) * messages
+        conduit.counts["remote"] += count
+        fabric.messages += count
+        fabric.bytes += len(senders) * nbytes
+        overheads = conduit._overheads["remote"]
+        placements = conduit._placements
+        members = view.shared.members
+        for s in senders:
+            node = placements[members[s - 1]].node
+            cost = overheads[node]
+            if cost.__class__ is Hold:
+                cost.resource._granted += messages
+            fabric.nic(node)._granted += messages
+
     # -- a compute_cost Timeout's span, jitter-free ---------------------
     def _compute_delay(self, flops: float) -> float:
         """The exact delay ``ctx.compute_cost(flops)`` would charge —
@@ -565,23 +651,38 @@ class MacroCollectives:
         k = len(leaders)
         if k > 1:
             rounds = math.ceil(math.log2(k))
+            if self._symmetric(view, leaders, ready):
+                t = self._replay_grouped(
+                    st, view, leaders, ready[leaders[0]],
+                    [(leaders[(1 << r) % k], NOTIFY_NBYTES)
+                     for r in range(rounds)],
+                    "auto", 0.0,
+                )
+                ready = dict.fromkeys(leaders, t)
+            else:
+                for r in range(rounds):
+                    deliver: Dict[int, float] = {}
+                    send_done: Dict[int, float] = {}
+                    for rank, leader in enumerate(leaders):
+                        target = leaders[(rank + (1 << r)) % k]
+                        done, delivered = self._replay_transfer(
+                            st, proc_of(leader), proc_of(target),
+                            NOTIFY_NBYTES, ready[leader], "auto",
+                        )
+                        send_done[leader] = done
+                        deliver[target] = delivered
+                    for leader in leaders:
+                        t = send_done[leader]
+                        if deliver[leader] > t:
+                            t = deliver[leader]
+                        ready[leader] = t
+            # Each notification bumps its target's round flag, in the
+            # order the fine-grained leaders issue them.
             for r in range(rounds):
-                deliver: Dict[int, float] = {}
-                send_done: Dict[int, float] = {}
-                for rank, leader in enumerate(leaders):
-                    target = leaders[(rank + (1 << r)) % k]
-                    done, delivered = self._replay_transfer(
-                        st, proc_of(leader), proc_of(target),
-                        NOTIFY_NBYTES, ready[leader], "auto",
-                    )
-                    send_done[leader] = done
-                    deliver[target] = delivered
-                    shared.diss_flag(target, r, "tdlb-leaders").add(1)
-                for leader in leaders:
-                    t = send_done[leader]
-                    if deliver[leader] > t:
-                        t = deliver[leader]
-                    ready[leader] = t
+                for rank in range(k):
+                    shared.diss_flag(
+                        leaders[(rank + (1 << r)) % k], r, "tdlb-leaders"
+                    ).add(1)
 
         # Step 3: each leader releases its intranode set serially.
         for leader in leaders:
@@ -649,14 +750,32 @@ class MacroCollectives:
         if n <= 1:
             return
         proc_of = view.shared.proc_of
-        # combine_flops of each participant's *entry* accumulator, as the
-        # fine-grained generator captures it in its ``value`` argument
-        dt = {p: self._compute_delay(combine_flops(vals[p]))
-              for p in participants}
         pow2 = 1 << (n.bit_length() - 1)
         if pow2 > n:
             pow2 >>= 1
         rem = n - pow2
+        if rem == 0 and self._symmetric(view, participants, ready):
+            entry = [vals[p] for p in participants]
+            flops = combine_flops(entry[0])
+            grouped = None
+            if all(combine_flops(v) == flops for v in entry):
+                grouped = _rd_partials(op, entry)
+            if grouped is not None:
+                sent, final = grouped
+                t = self._replay_grouped(
+                    st, view, participants, ready[participants[0]],
+                    [(participants[1 << r], nbytes)
+                     for r, nbytes in enumerate(sent)],
+                    path, self._compute_delay(flops),
+                )
+                for p in participants:
+                    ready[p] = t
+                    vals[p] = _freeze(final)
+                return
+        # combine_flops of each participant's *entry* accumulator, as the
+        # fine-grained generator captures it in its ``value`` argument
+        dt = {p: self._compute_delay(combine_flops(vals[p]))
+              for p in participants}
 
         newrank: Dict[int, int] = {}
         for rank, p in enumerate(participants):
@@ -879,6 +998,46 @@ class MacroCollectives:
             exits.append((t, L))
             results[L] = _freeze(seed)
         return exits, results
+
+
+def _rd_partials(op, values: list) -> Optional[Tuple[List[int], Any]]:
+    """Fold a power-of-two recursive doubling one block pair at a time.
+
+    After the round with stride ``m`` every aligned block of ``2m``
+    members holds one value: the lower half computed ``op(a, b)`` and the
+    upper half ``op(b, a)``.  Both are computed, and the block merges only
+    when they are bitwise equal.  Returns the bytes every member sends in
+    each round and the final value, or None when a round's payloads differ
+    in size or a merge is not bitwise commutative (signed zeros under
+    ``min``/``max``, NaNs with different payloads).  ``op`` is one of the
+    built-in ops, the only ones a reduce window admits: each merge calls
+    it twice.
+    """
+    sent: List[int] = []
+    while len(values) > 1:
+        nbytes = payload_nbytes(values[0])
+        if any(payload_nbytes(v) != nbytes for v in values):
+            return None
+        sent.append(nbytes)
+        merged = []
+        for a, b in zip(values[::2], values[1::2]):
+            ab = _combine(op, a, b)
+            if not _same_bits(ab, _combine(op, b, a)):
+                return None
+            merged.append(ab)
+        values = merged
+    return sent, values[0]
+
+
+def _same_bits(a: Any, b: Any) -> bool:
+    """Whether two combine results are the same NumPy value, bit for bit."""
+    return (
+        isinstance(a, (np.ndarray, np.generic))
+        and a.__class__ is b.__class__
+        and a.dtype == b.dtype
+        and a.shape == b.shape
+        and a.tobytes() == b.tobytes()
+    )
 
 
 #: historical name from the barrier-only era; kept for back-compat

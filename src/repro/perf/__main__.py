@@ -14,7 +14,9 @@ Modes
     the frozen legacy kernel, measured on this host in this run, falls
     below ``R`` × the baseline file's speedup.  A same-host ratio is
     portable; absolute events/sec recorded on another host is not, so
-    it is printed for information only.
+    it is printed for information only.  Each speedup is the median of
+    ``repeats`` alternating legacy/current pairs, so a burst of host
+    noise moves one pair, not the result.
 ``--harness``
     Benchmark the run *orchestration* instead of the kernel: sequential
     vs pooled quick conformance matrix plus a cold/warm cache cycle
@@ -30,6 +32,7 @@ import json
 import platform
 import sys
 from datetime import datetime, timezone
+from statistics import median
 
 from ..machine import build_machine, paper_cluster
 from ..sim.engine import Engine
@@ -48,23 +51,25 @@ from .stats import run_with_stats
 #: Workload sizes per mode.  The engine microbenchmark (``engine_dispatch``)
 #: is the headline number the CI gate tracks; its shape (128 concurrent
 #: processes) is where the batched heap drain amortizes — the wide-heap
-#: regime every ≥ 1k-image experiment lives in.
+#: regime every ≥ 1k-image experiment lives in.  For the four legacy A/B
+#: benches ``repeats`` is the number of alternating legacy/current pairs
+#: whose median is reported; elsewhere the best of ``repeats`` runs.
 SIZES = {
     "full": {
-        "trampoline": dict(events=400_000, chains=8, repeats=4),
-        "engine_dispatch": dict(procs=128, events_per_proc=2_000, repeats=4),
-        "burst": dict(procs=128, events_per_proc=2_000, repeats=4),
-        "sync_kernel": dict(pairs=8, rounds=4_000, repeats=4),
+        "trampoline": dict(events=400_000, chains=8, repeats=5),
+        "engine_dispatch": dict(procs=128, events_per_proc=2_000, repeats=5),
+        "burst": dict(procs=128, events_per_proc=2_000, repeats=5),
+        "sync_kernel": dict(pairs=8, rounds=4_000, repeats=5),
         "tdlb_barrier": dict(iters=400, num_images=16, images_per_node=8, repeats=3),
         "macro_barrier": dict(iters=10, num_images=1024, repeats=1),
         "macro_reduce": dict(iters=5, num_images=2048, repeats=1),
         "macro_bcast": dict(iters=1, num_images=4096, repeats=1),
     },
     "smoke": {
-        "trampoline": dict(events=60_000, chains=8, repeats=2),
-        "engine_dispatch": dict(procs=128, events_per_proc=500, repeats=2),
-        "burst": dict(procs=128, events_per_proc=500, repeats=2),
-        "sync_kernel": dict(pairs=4, rounds=1_000, repeats=2),
+        "trampoline": dict(events=60_000, chains=8, repeats=5),
+        "engine_dispatch": dict(procs=128, events_per_proc=500, repeats=5),
+        "burst": dict(procs=128, events_per_proc=500, repeats=5),
+        "sync_kernel": dict(pairs=4, rounds=1_000, repeats=5),
         "tdlb_barrier": dict(iters=50, num_images=16, images_per_node=8, repeats=2),
         "macro_barrier": dict(iters=5, num_images=256, repeats=1),
         "macro_reduce": dict(iters=4, num_images=256, repeats=1),
@@ -111,16 +116,23 @@ def run_benchmarks(mode: str) -> dict:
     sizes = SIZES[mode]
     benchmarks: dict = {}
     for name, fn in _AB_BENCHES.items():
-        kw = sizes[name]
-        cur = fn("current", **kw)
-        leg = fn("legacy", **kw)
-        speedup = (cur.events_per_sec / leg.events_per_sec
-                   if leg.events_per_sec else float("nan"))
-        entry = cur.as_dict()
-        entry.pop("kernel")
-        entry["legacy_events_per_sec"] = round(leg.events_per_sec, 1)
-        entry["speedup_vs_legacy"] = round(speedup, 3)
-        benchmarks[name] = entry
+        kw = dict(sizes[name])
+        pairs = max(1, kw.pop("repeats"))
+        runs = [(fn("legacy", repeats=1, **kw), fn("current", repeats=1, **kw))
+                for _ in range(pairs)]
+        cur = [c for _, c in runs]
+        benchmarks[name] = {
+            "events": cur[0].events,
+            "wall_s": round(median(c.wall_s for c in cur), 6),
+            "events_per_sec": round(median(c.events_per_sec for c in cur), 1),
+            "sim_time_s": cur[0].sim_time,
+            "legacy_events_per_sec":
+                round(median(leg.events_per_sec for leg, _ in runs), 1),
+            "speedup_vs_legacy": round(median(
+                c.events_per_sec / leg.events_per_sec
+                if leg.events_per_sec else float("nan") for leg, c in runs
+            ), 3),
+        }
     tdlb = bench_tdlb_barrier(**sizes["tdlb_barrier"])
     entry = tdlb.as_dict()
     entry.pop("kernel")

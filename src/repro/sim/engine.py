@@ -75,7 +75,7 @@ import itertools
 import math
 import random
 from bisect import insort
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from .errors import DeadlockError, ProcessFailure, SimulationLimitExceeded
 
@@ -146,7 +146,7 @@ class Engine:
     __slots__ = (
         "_times", "_buckets", "_seq_counter", "_now", "_max_events",
         "_events_processed", "_trace", "_tiebreak_seed", "_tiebreak_rng",
-        "monitor", "_blocked", "_blocked_info", "_blocked_seq", "_running",
+        "monitor", "_blocked", "_blocked_seq", "_running",
         "_drain_hooks", "_deferred", "schedule", "call_now", "schedule_at",
     )
 
@@ -193,10 +193,10 @@ class Engine:
         #: :class:`repro.verify.HBMonitor`).  The sim primitives consult it
         #: on every write/wait when set; ``None`` costs one attribute read.
         self.monitor: Optional[Any] = None
-        # Registry of blocked-process descriptions for deadlock reporting.
-        # Keyed by an opaque token so waiters can deregister in O(1).
-        self._blocked: dict[int, Union[str, Callable[[], str]]] = {}
-        self._blocked_info: dict[int, Any] = {}
+        # Registry of blocked waiters for deadlock reporting (see
+        # note_blocked).  Keyed by an opaque token so waiters can
+        # deregister in O(1).
+        self._blocked: dict[int, Any] = {}
         self._blocked_seq = itertools.count()
         self._running = False
         # Last-chance hooks consulted when the queue drains with blocked
@@ -436,49 +436,41 @@ class Engine:
     # ------------------------------------------------------------------
     # Blocked-process bookkeeping (for deadlock diagnostics)
     # ------------------------------------------------------------------
-    def note_blocked(
-        self, description: Union[str, Callable[[], str]], info: Any = None
-    ) -> int:
+    def note_blocked(self, waiter: Any) -> int:
         """Record that a process is blocked; returns a token for :meth:`note_unblocked`.
 
-        ``description`` may be a plain string or a zero-argument callable
-        returning one — waiters on the hot path pass a callable so the
-        human-readable text is only materialized if a deadlock report
-        actually needs it.
-
-        ``info`` may carry a structured record (see
+        ``waiter`` is either a plain description string or an object
+        whose ``blocked_description()`` and ``blocked_info()`` build the
+        human-readable text and the structured record (see
         :class:`repro.sim.process.BlockedInfo`) that deadlock reports use
-        to reconstruct the wait-for graph.
+        to reconstruct the wait-for graph.  Waiters on the hot path (every
+        :class:`~repro.sim.process.Process`) pass themselves, so nothing
+        is formatted unless a deadlock report reads it.
         """
         token = next(self._blocked_seq)
-        self._blocked[token] = description
-        if info is not None:
-            self._blocked_info[token] = info
+        self._blocked[token] = waiter
         return token
 
     def note_unblocked(self, token: int) -> None:
         """Forget a blocked-process record created by :meth:`note_blocked`."""
         self._blocked.pop(token, None)
-        self._blocked_info.pop(token, None)
+
+    def _blocked_waiters(self) -> list[Any]:
+        return [self._blocked[k] for k in sorted(self._blocked)]
 
     @property
     def blocked_descriptions(self) -> list[str]:
         """Descriptions of currently blocked processes (ordered by block time)."""
-        return [
-            d() if callable(d) else d
-            for d in (self._blocked[k] for k in sorted(self._blocked))
-        ]
+        return [w if w.__class__ is str else w.blocked_description()
+                for w in self._blocked_waiters()]
 
     @property
     def blocked_details(self) -> list[Any]:
-        """Structured records of currently blocked processes, where the
-        waiter supplied one (ordered by block time).  Records registered
-        as zero-argument callables are materialized here — the cold path
-        of deadlock reporting."""
-        return [
-            info() if callable(info) else info
-            for info in (self._blocked_info[k] for k in sorted(self._blocked_info))
-        ]
+        """Structured records of currently blocked processes, for the
+        waiters that are not plain strings (ordered by block time) —
+        built here, on the cold path of deadlock reporting."""
+        return [w.blocked_info() for w in self._blocked_waiters()
+                if w.__class__ is not str]
 
     # ------------------------------------------------------------------
     # Drain hooks (macro-event fallback)
@@ -522,6 +514,13 @@ class Engine:
         t = self._peek_time()
         if t is None:
             return False
+        self._fire(t)
+        return True
+
+    def _fire(self, t: float) -> None:
+        """Dispatch the earliest event, whose time ``t`` a
+        :meth:`_peek_time` call has just returned (so the heap top is
+        ``t``); the body of :meth:`step`."""
         buckets = self._buckets
         bucket = buckets[t]
         if bucket.__class__ is not list:  # bare singleton record
@@ -546,7 +545,6 @@ class Engine:
         if self._trace is not None and label:
             self._trace(t, label)
         record[-2]()
-        return True
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the event queue drains (or simulated time passes ``until``).
@@ -567,15 +565,16 @@ class Engine:
                 if fast:
                     self._run_fast()
                 else:
-                    step = self.step
+                    # step() with the peek it would repeat hoisted out
+                    peek, fire = self._peek_time, self._fire
                     while True:
-                        t = self._peek_time()
+                        t = peek()
                         if t is None:
                             break
                         if until is not None and t > until:
                             self._now = until
                             return until
-                        step()
+                        fire(t)
                 if self._blocked and self._drain_hooks:
                     progressed = False
                     for hook in list(self._drain_hooks):

@@ -136,7 +136,8 @@ class Process:
     """
 
     __slots__ = ("_engine", "_gen", "_send", "name", "actor", "done",
-                 "_blocked_token", "_finished", "_timeout_label", "_held")
+                 "_blocked_token", "_wait", "_finished", "_timeout_label",
+                 "_held")
 
     def __init__(self, engine: Engine, gen: ProcGen, name: str = "proc",
                  actor: Optional[Any] = None):
@@ -147,6 +148,8 @@ class Process:
         self.actor = actor
         self.done = SimEvent(engine, name=f"{name}.done")
         self._blocked_token: Optional[int] = None
+        #: ``(verb, noun, kind, target)`` of the wait in progress
+        self._wait: Optional[tuple] = None
         self._finished = False
         # A process has at most one outstanding no-value resume (it drives
         # a single generator), so the process object itself is the
@@ -192,14 +195,21 @@ class Process:
 
     # ------------------------------------------------------------------
     def _mark_blocked(self, verb: str, noun: str, kind: str, target: Any) -> None:
-        """Register this process as blocked.  Both the human-readable
-        description (``"imageN: waiting on cell 'x'"``) and the structured
-        :class:`BlockedInfo` record are deferred behind closures — they are
-        only materialized if the run actually deadlocks."""
-        self._blocked_token = self._engine.note_blocked(
-            lambda: f"{self.name}: {verb} {noun} {target.name!r}",
-            info=lambda: BlockedInfo(self.name, self.actor, kind, target),
-        )
+        """Register this process as blocked on ``target``.  Only the wait's
+        terms are stored; the description and the :class:`BlockedInfo`
+        record are built if a deadlock report reads them."""
+        self._wait = (verb, noun, kind, target)
+        self._blocked_token = self._engine.note_blocked(self)
+
+    def blocked_description(self) -> str:
+        """``"imageN: waiting on cell 'x'"`` for the wait in progress."""
+        verb, noun, _, target = self._wait
+        return f"{self.name}: {verb} {noun} {target.name!r}"
+
+    def blocked_info(self) -> BlockedInfo:
+        """The structured record of the wait in progress."""
+        _, _, kind, target = self._wait
+        return BlockedInfo(self.name, self.actor, kind, target)
 
     def _resume(self, value: Any) -> None:
         if self._blocked_token is not None:

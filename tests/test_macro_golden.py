@@ -11,7 +11,9 @@ fine-grained traffic — must be *detected* (``inexact``/``"overlap"``)
 rather than silently absorbed.  Flat tight collective loops are the
 chained-window case: every window must collapse from a single analysis
 (the extreme-scale sweep's whole premise), which the sustained-collapse
-tests pin with exact replay counts.
+tests pin with exact replay counts.  Flat windows evaluated once per
+symmetry class must match both the per-message replay and macro-off,
+and must fall back wherever grouping would not be exact.
 """
 
 from __future__ import annotations
@@ -167,10 +169,22 @@ def _run_flat(num_images, main, args=(), macro=None, config=None, **kw):
                     macro_events=macro, **kw)
 
 
+def _grants(result):
+    """Grant counters of every fabric resource, by kind: conduit progress
+    engines, NICs, memory buses."""
+    world = result.world
+    machine = world.machine
+    buses = [bus for node in machine.shared_memory._buses for bus in node]
+    return [[r._granted for r in kind] for kind in (
+        world.conduit._engines, machine.interconnect._nics, buses)]
+
+
 def _assert_golden(on, off):
     assert on.time == off.time  # bit-identical, not approx
     assert on.results == off.results
     assert on.traffic == off.traffic
+    assert _grants(on) == _grants(off)
+    assert on.world.conduit.counts == off.world.conduit.counts
 
 
 # ----------------------------------------------------------------------
@@ -429,3 +443,166 @@ class TestExtremeScaleSweepPath:
         assert by_n[16]["exactness"] == "exact"
         assert by_n[32]["exactness"] == "skipped"
         assert "events_fine" not in by_n[32]
+
+
+# ----------------------------------------------------------------------
+# Symmetry-class evaluation of flat windows
+# ----------------------------------------------------------------------
+def _bits(value):
+    """A comparable, bit-exact key of an image's result: NaN payloads and
+    signed zeros compare as their bytes."""
+    if isinstance(value, list):
+        return [_bits(v) for v in value]
+    arr = np.asarray(value)
+    return (arr.dtype.str, arr.shape, arr.tobytes())
+
+
+def _nan(payload):
+    return np.array([payload], dtype=np.uint64).view(np.float64)[0]
+
+
+def _sync_reduce(ctx, op, payloads, iters):
+    """``sync_all`` + one ``op`` reduction per iteration; image ``i``
+    contributes ``payloads[(i - 1) % len(payloads)]`` every time."""
+    mine = np.asarray(payloads[(ctx.this_image() - 1) % len(payloads)])
+    out = []
+    for _ in range(iters):
+        yield from ctx.sync_all()
+        out.append((yield from ctx.co_reduce(mine, op)))
+    return out
+
+
+def _staggered_reduce(ctx):
+    """A first reduction whose payloads differ in size (image 1 sends one
+    element, the rest four) exits at staggered instants, so the barrier
+    and reduction chained under it see staggered arrivals."""
+    me = ctx.this_image()
+    first = yield from ctx.co_sum(np.arange(1.0 if me == 1 else 4.0))
+    yield from ctx.sync_all()
+    second = yield from ctx.co_sum(np.arange(3.0) + me)
+    return [first, second]
+
+
+class TestGroupedEvaluation:
+    """Flat, node-symmetric windows evaluated once per symmetry class
+    (``MacroCollectives._replay_grouped``) against the per-message
+    replay of the same window and against macro-off."""
+
+    @pytest.fixture()
+    def grouped(self, monkeypatch):
+        """Count grouped evaluations: each call appends its member count."""
+        from repro.collectives.macro import MacroCollectives
+        calls = []
+        replay = MacroCollectives._replay_grouped
+
+        def spy(self, st, view, members, *args):
+            calls.append(len(members))
+            return replay(self, st, view, members, *args)
+
+        monkeypatch.setattr(MacroCollectives, "_replay_grouped", spy)
+        return calls
+
+    @staticmethod
+    def _per_message(monkeypatch, num_images, main, args, config=None):
+        """The same run with the grouped evaluation switched off."""
+        from repro.collectives.macro import MacroCollectives
+        with monkeypatch.context() as m:
+            m.setattr(MacroCollectives, "_symmetric",
+                      lambda self, view, members, ready: False)
+            return _run_flat(num_images, main, args, macro=True,
+                             config=config)
+
+    def _check(self, monkeypatch, num_images, main, args, config=None,
+               fine=True):
+        """Run macro-on and compare it with the per-message replay and,
+        when ``fine``, with macro-off."""
+        on = _run_flat(num_images, main, args, macro=True, config=config)
+        refs = [self._per_message(monkeypatch, num_images, main, args,
+                                  config)]
+        if fine:
+            refs.append(_run_flat(num_images, main, args, macro=False,
+                                  config=config))
+        for other in refs:
+            assert on.time == other.time
+            assert _bits(on.results) == _bits(other.results)
+            assert on.traffic == other.traffic
+            assert _grants(on) == _grants(other)
+            assert on.world.conduit.counts == other.world.conduit.counts
+        assert not on.world.macro.inexact
+        return on
+
+    @pytest.mark.parametrize("num_images", [2, 16, 24, 1024])
+    def test_flat_sizes(self, monkeypatch, grouped, num_images):
+        iters = 2
+        payloads = [np.arange(5.0) * k + 0.1 for k in range(1, 8)]
+        on = self._check(monkeypatch, num_images, _sync_reduce,
+                         ("sum", payloads, iters), fine=num_images <= 24)
+        assert on.world.macro.replays == 2 * iters
+        if num_images == 24:
+            # recursive doubling folds and unfolds off a power of two and
+            # falls back; its staggered exits make every later barrier
+            # window staggered too, so only the first barrier is grouped
+            assert grouped == [24]
+        else:
+            assert grouped == [num_images] * (2 * iters)
+
+    @pytest.mark.parametrize("num_images", [8, 24])
+    def test_recursive_doubling_kind(self, monkeypatch, grouped, num_images):
+        rd = UHCAF_2LEVEL.with_(name="rd", reduce="recursive-doubling")
+        self._check(monkeypatch, num_images, _tight_reduce, (3,), config=rd)
+        assert len(grouped) == (3 if num_images == 8 else 0)
+
+    def test_unserialized_sender_overhead(self, monkeypatch, grouped):
+        # IB verbs charges its per-message overhead as a plain delay, not
+        # as a hold on the node's conduit engine, so no engine grants
+        from repro.calibration import IB_VERBS
+        verbs = UHCAF_2LEVEL.with_(name="verbs", conduit_profile=IB_VERBS)
+        payloads = [np.arange(3.0) + k for k in range(4)]
+        self._check(monkeypatch, 16, _sync_reduce, ("sum", payloads, 1),
+                    config=verbs)
+        assert grouped == [16, 16]
+
+    @pytest.mark.parametrize("op", ["sum", "prod", "max", "min"])
+    @pytest.mark.parametrize("case", ["signed_zeros", "nan_payloads",
+                                      "plain"])
+    def test_bitwise_commutativity_is_checked(self, monkeypatch, grouped,
+                                              op, case):
+        if case == "signed_zeros":
+            payloads = [[0.0, 1.5], [-0.0, 1.5]]
+        elif case == "nan_payloads":
+            payloads = [[_nan(0x7FF8000000000001), 2.0],
+                        [_nan(0x7FF8000000000002), 2.0]]
+        else:
+            payloads = [[1.25, -3.0], [0.5, 2.0], [-7.0, 0.0]]
+        self._check(monkeypatch, 16, _sync_reduce, (op, payloads, 1))
+        from repro.collectives.reduce import _combine
+        a, b = np.asarray(payloads[0]), np.asarray(payloads[1])
+        commutes = (_combine(op, a, b).tobytes()
+                    == _combine(op, b, a).tobytes())
+        if case == "plain":
+            assert commutes
+        if case != "plain" and op in ("max", "min"):
+            assert not commutes
+        # the barrier is always grouped; the reduction only when every
+        # block merge was bitwise commutative
+        assert grouped == [16] * (2 if commutes else 1)
+
+    def test_unequal_payload_lengths_fall_back(self, monkeypatch, grouped):
+        payloads = [[1.0], [1.0, 2.0, 3.0, 4.0]]
+        self._check(monkeypatch, 16, _sync_reduce, ("sum", payloads, 1))
+        assert grouped == [16]  # the barrier only
+
+    def test_staggered_arrivals_fall_back(self, monkeypatch, grouped):
+        on = self._check(monkeypatch, 16, _staggered_reduce, ())
+        assert on.world.macro.replays == 3
+        assert grouped == []
+
+    def test_each_image_owns_its_result(self, grouped):
+        payloads = [np.arange(4.0) + k for k in range(3)]
+        on = _run_flat(16, _sync_reduce, ("sum", payloads, 1), macro=True)
+        assert grouped == [16, 16]
+        first, second = on.results[0][0], on.results[1][0]
+        expected = second.copy()
+        assert not np.shares_memory(first, second)
+        first[:] = -1.0
+        assert np.array_equal(second, expected)
